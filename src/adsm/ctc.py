@@ -1,7 +1,9 @@
 """Exact dynamic programming over frame-transition graphs.
 
-All quantities live in log space; per-frame scores are gathered through a
-padded predecessor table so each DP step is a single vectorized reduction.
+All quantities live in log space.  Forward, backward, Viterbi and sampling
+share one frame loop over the graph's padded neighbour tables; it differs
+only in its reduction (log-sum-exp or max), so each DP step is a single
+vectorized gather and reduction.
 The exhaustive :func:`enumerate_oracle` deliberately avoids this machinery
 and recomputes everything from first principles on tiny instances.
 """
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InfeasibleUtteranceError, NumericalError
 from .lattice import CtcGraph, UttLattice, WordSegDAG, enumerate_label_paths, lattice_from_dag
@@ -59,50 +60,46 @@ def _check_feasible(graph: CtcGraph, n_frames: int) -> None:
             f"{n_frames} frames < minimal alignment length {graph.min_frames}")
 
 
-def _padded(index_lists: list[np.ndarray], n_states: int) -> np.ndarray:
-    """Ragged id lists to a dense matrix; the sentinel column indexes a -inf slot."""
-    width = max(len(ix) for ix in index_lists)
-    out = np.full((n_states, width), n_states, dtype=np.int64)
-    for s, ix in enumerate(index_lists):
-        out[s, : len(ix)] = ix
-    return out
+def logsumexp(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis`` (kept as a length-1 axis), shifted by
+    the maximum.  A slice that is all -inf gives -inf: its shift is 0, so no
+    NaN and no floating-point warning arises."""
+    m = x.max(axis=axis, keepdims=True)
+    m[m == -np.inf] = 0.0
+    s = np.exp(x - m).sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return np.log(s) + m
 
 
-def _forward(graph: CtcGraph, scores: np.ndarray) -> np.ndarray:
-    """alpha[t, s]: log-sum over accepted prefixes ending in state s at t."""
-    T = scores.shape[0]
-    S = graph.n_states
-    pred = _padded(graph.pred, S)
-    emit = scores[:, graph.labels]          # (T, S)
-    alpha = np.full((T, S), -np.inf)
-    alpha[0, graph.initial] = emit[0, graph.initial]
-    buf = np.empty(S + 1)
-    buf[S] = -np.inf
-    for t in range(1, T):
-        buf[:S] = alpha[t - 1]
-        alpha[t] = logsumexp(buf[pred], axis=1) + emit[t]
-    return alpha
+def _max(x: np.ndarray) -> np.ndarray:
+    return x.max(axis=0)
 
 
-def _backward(graph: CtcGraph, scores: np.ndarray) -> np.ndarray:
-    """beta[t, s]: log-sum over accepted suffixes leaving state s after t."""
-    T = scores.shape[0]
-    S = graph.n_states
-    succ = _padded(graph.succ, S)
-    emit = scores[:, graph.labels]
-    beta = np.full((T, S), -np.inf)
-    beta[T - 1, graph.final] = 0.0
-    buf = np.empty(S + 1)
-    buf[S] = -np.inf
-    for t in range(T - 2, -1, -1):
-        buf[:S] = beta[t + 1] + emit[t + 1]
-        beta[t] = logsumexp(buf[succ], axis=1)
-    return beta
+def _emissions(graph: CtcGraph, scores: np.ndarray) -> np.ndarray:
+    """Per-frame state scores, plus the -inf slot the tables' sentinel reads."""
+    emit = np.full((scores.shape[0], graph.n_states + 1), -np.inf)
+    emit[:, :-1] = scores[:, graph.labels]
+    return emit
 
 
-def log_loss(graph: CtcGraph, logp: np.ndarray) -> tuple[float, np.ndarray]:
+def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np.ndarray:
+    """The frame loop of every DP here: row 0 is 0 on the ``first`` states,
+    and row t reduces ``row[t-1] + emit[t-1]`` over each state's neighbours
+    in ``table``.  With the predecessor table and ``logsumexp`` this is the
+    forward pass without the current frame's score, with ``max`` the Viterbi
+    pass; the successor table over reversed frames gives the backward pass."""
+    rows = np.full(emit.shape, -np.inf)
+    rows[0, first] = 0.0
+    for t in range(1, len(rows)):
+        rows[t, :-1] = reduce((rows[t - 1] + emit[t - 1])[table])
+    return rows
+
+
+def log_loss(graph: CtcGraph, logp: np.ndarray,
+             occupancy: bool = True) -> tuple[float, np.ndarray | None]:
     """Marginal negative log-likelihood over all accepted frame paths, plus
-    the per-frame class occupancy table.
+    the per-frame class occupancy table (None with ``occupancy=False``,
+    which runs the forward pass only).
 
     The occupancy is the loss gradient's moving part: with ``P = exp(logp)``
     the derivative w.r.t. the pre-softmax score at (t, c) is ``P[t, c] -
@@ -111,15 +108,33 @@ def log_loss(graph: CtcGraph, logp: np.ndarray) -> tuple[float, np.ndarray]:
     logp = _check_posteriors(logp)
     T = logp.shape[0]
     _check_feasible(graph, T)
-    alpha = _forward(graph, logp)
-    beta = _backward(graph, logp)
-    total = logsumexp(alpha[T - 1, graph.final])
+    emit = _emissions(graph, logp)
+    alpha = _sweep(graph.pred, graph.initial, emit, logsumexp) + emit
+    total = logsumexp(alpha[T - 1, graph.final]).item()
     if not np.isfinite(total):
         raise NumericalError("all accepted paths carry zero probability")
-    gamma = np.exp(alpha + beta - total)    # (T, S) state occupancy
+    if not occupancy:
+        return -total, None
+    beta = _sweep(graph.succ, graph.final, emit[::-1], logsumexp)[::-1]
+    gamma = np.exp(alpha[:, :-1] + beta[:, :-1] - total)    # (T, S) state occupancy
     occ = np.zeros((T, logp.shape[1]))
     np.add.at(occ.T, graph.labels, gamma.T)
-    return float(-total), occ
+    return -total, occ
+
+
+def _trace(graph: CtcGraph, score: np.ndarray, pick) -> Alignment:
+    """Walk back from the last frame: ``pick`` chooses a final state by its
+    score, then each earlier state among the predecessors of the later one."""
+    T = score.shape[0]
+    finals = graph.final
+    if not np.isfinite(score[T - 1, finals].max()):
+        raise InfeasibleUtteranceError("no accepted path of this length")
+    states = [int(finals[pick(score[T - 1, finals])])]
+    for t in range(T - 1, 0, -1):
+        preds = graph.pred[:, states[-1]]
+        states.append(int(preds[pick(score[t - 1, preds])]))
+    states.reverse()
+    return _alignment_from_states(graph, states)
 
 
 def _alignment_from_states(graph: CtcGraph, states: Sequence[int]) -> Alignment:
@@ -162,30 +177,9 @@ def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
             raise ValueError("prior shape does not match class count")
         scores = logp - prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
 
-    S = graph.n_states
-    pred = _padded(graph.pred, S)
-    emit = scores[:, graph.labels]
-    delta = np.full((T, S), -np.inf)
-    delta[0, graph.initial] = emit[0, graph.initial]
-    back = np.zeros((T, S), dtype=np.int64)
-    buf = np.empty(S + 1)
-    buf[S] = -np.inf
-    for t in range(1, T):
-        buf[:S] = delta[t - 1]
-        cand = buf[pred]                      # (S, maxdeg)
-        choice = np.argmax(cand, axis=1)      # first max = smallest pred id
-        delta[t] = cand[np.arange(S), choice] + emit[t]
-        back[t] = pred[np.arange(S), choice]
-    finals = graph.final
-    end_scores = delta[T - 1, finals]
-    if not np.isfinite(end_scores.max()):
-        raise InfeasibleUtteranceError("no accepted path of this length")
-    best = int(finals[int(np.argmax(end_scores))])
-    states = [best]
-    for t in range(T - 1, 0, -1):
-        states.append(int(back[t, states[-1]]))
-    states.reverse()
-    return _alignment_from_states(graph, states)
+    emit = _emissions(graph, scores)
+    delta = _sweep(graph.pred, graph.initial, emit, _max) + emit
+    return _trace(graph, delta, np.argmax)
 
 
 def estimate_prior(posteriors: Iterable[np.ndarray], num_classes: int) -> np.ndarray:
@@ -217,24 +211,15 @@ def sample_path(graph: CtcGraph, logp: np.ndarray, temperature: float = 1.0,
     scores = logp / temperature
     T = scores.shape[0]
     _check_feasible(graph, T)
-    alpha = _forward(graph, scores)
-    S = graph.n_states
-    finals = graph.final
-    states = [int(finals[_draw(alpha[T - 1, finals], rng)])]
-    for t in range(T - 1, 0, -1):
-        preds = graph.pred[states[-1]]
-        states.append(int(preds[_draw(alpha[t - 1, preds], rng)]))
-    states.reverse()
-    return _alignment_from_states(graph, states)
+    emit = _emissions(graph, scores)
+    alpha = _sweep(graph.pred, graph.initial, emit, logsumexp) + emit
+    return _trace(graph, alpha, lambda logw: _draw(logw, rng))
 
 
 def _draw(logw: np.ndarray, rng: np.random.Generator) -> int:
-    m = logw.max()
-    if not np.isfinite(m):
-        raise InfeasibleUtteranceError("no accepted path of this length")
-    w = np.exp(logw - m)
-    w = np.cumsum(w)
-    return int(np.searchsorted(w, rng.random() * w[-1], side="right").clip(0, len(logw) - 1))
+    """Index drawn with weight exp(logw); -inf entries are never drawn."""
+    w = np.cumsum(np.exp(logw - logw.max()))
+    return int(np.searchsorted(w, rng.random() * w[-1], side="right"))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .ctc import log_loss
+from .ctc import log_loss, logsumexp
 from .errors import FormatError, InfeasibleUtteranceError, NumericalError
 from .lattice import CtcGraph, UttLattice, ctc_expand
 
@@ -182,15 +181,14 @@ def _forward(x: np.ndarray, params: EncoderParams):
         stages.append(("layer", i, xw, h))
         for _ in range(params.pool_after.count(i)):
             T = h.shape[0]
-            To = (T + 1) // 2
-            padded = np.pad(h, ((0, 2 * To - T), (0, 0)), constant_values=-np.inf)
-            pair = padded.reshape(To, 2, h.shape[1])
+            if T % 2:
+                h = np.concatenate([h, np.full((1, h.shape[1]), -np.inf)])
+            pair = h.reshape(-1, 2, h.shape[1])
             which = np.argmax(pair, axis=1)            # (To, H), first max wins
-            pooled = np.take_along_axis(pair, which[:, None, :], axis=1)[:, 0, :]
             stages.append(("pool", T, which, None))
-            h = pooled
+            h = pair.max(axis=1)
     score = h @ params.out_w + params.out_b
-    logp = score - logsumexp(score, axis=1, keepdims=True)
+    logp = score - logsumexp(score, axis=1)
     cache = (stages, h, logp)
     return logp, cache
 
@@ -280,9 +278,10 @@ def train(dataset, params: EncoderParams, config: TrainConfig,
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(items))
-    n_hold = int(round(config.holdout_fraction * len(items)))
+    # At least one utterance is left to train on.
+    n_hold = min(int(round(config.holdout_fraction * len(items))), len(items) - 1)
     hold = [items[i] for i in order[:n_hold]]
-    trainset = [items[i] for i in order[n_hold:]] or items
+    trainset = [items[i] for i in order[n_hold:]]
 
     arrays = params.arrays()
     lr = config.learning_rate
@@ -315,7 +314,8 @@ def train(dataset, params: EncoderParams, config: TrainConfig,
         monitor = train_loss
         hold_loss = np.nan
         if hold:
-            hold_loss = float(np.mean([log_loss(g, encode(x, params))[0] for x, g in hold]))
+            hold_loss = float(np.mean([log_loss(g, encode(x, params), occupancy=False)[0]
+                                       for x, g in hold]))
             monitor = hold_loss
         curve.append((train_loss, hold_loss))
         if monitor < best_loss - 1e-12:
@@ -365,12 +365,19 @@ def load_params(path) -> EncoderParams:
         raise FormatError(f"bad checkpoint metadata: {exc}", path=path) from exc
     arrays = {}
     while pos < len(lines):
-        _, name, shape_s = lines[pos].split("\t")
-        shape = tuple(int(v) for v in shape_s.split())
-        n = int(np.prod(shape))
-        vals = np.array([float(v) for v in lines[pos + 1 : pos + 1 + n]])
+        try:
+            tag, name, shape_s = lines[pos].split("\t")
+            if tag != "array":
+                raise ValueError(f"expected an array line, got {tag!r}")
+            shape = tuple(int(v) for v in shape_s.split())
+            n = int(np.prod(shape))
+            vals = np.array([float(v) for v in lines[pos + 1 : pos + 1 + n]])
+        except ValueError as exc:
+            raise FormatError(f"bad array block: {exc}", path=path, line=pos + 1) from exc
         if vals.size != n:
             raise FormatError(f"array {name} truncated", path=path)
+        if not np.all(np.isfinite(vals)):
+            raise FormatError(f"array {name} holds non-finite values", path=path)
         arrays[name] = vals.reshape(shape)
         pos += 1 + n
     params = init_params(input_dim, hidden, num_classes, factor, radii)

@@ -10,12 +10,12 @@ of every allowed unit sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .vocab import Unit, Vocabulary, marked
+from .vocab import Vocabulary
 
 GRAPH_HEADER = "#adsm-graph-v1"
 DAG_HEADER = "#adsm-dag-v1"
@@ -166,21 +166,22 @@ class CtcGraph:
     between different labels; identical neighbors must pass through the
     intervening node's blank state, which keeps the collapse of every
     accepted path inside the lattice's path set.
+
+    ``pred[:, s]`` lists the predecessors of state ``s`` (itself included)
+    in ascending order, padded at the end with the sentinel ``n_states``, so
+    a DP row with one extra -inf slot gathers through the table in one step.
+    ``succ`` is the same table for successors.
     """
 
     labels: np.ndarray           # per-state emitted class, blank for node states
     blank: int
     initial: np.ndarray          # state ids
     final: np.ndarray            # state ids
-    pred: list[np.ndarray]       # per-state predecessor ids (self included), ascending
-    succ: list[np.ndarray]       # per-state successor ids (self included), ascending
+    pred: np.ndarray             # (max in-degree, n_states) padded predecessor table
+    succ: np.ndarray             # (max out-degree, n_states) padded successor table
     state_arc: np.ndarray        # lattice arc index per state, -1 for blanks
     state_word: np.ndarray       # word index per state, -1 for blanks
     min_frames: int
-    label_adj: list[np.ndarray] = field(repr=False)   # arc-to-arc adjacency
-    label_initial: np.ndarray = field(repr=False)     # arc indices leaving the source
-    label_final: np.ndarray = field(repr=False)       # arc indices entering the sink
-    arc_labels: np.ndarray = field(repr=False)
 
     @property
     def n_states(self) -> int:
@@ -192,126 +193,90 @@ class CtcGraph:
 
     def transitions(self) -> list[tuple[int, int]]:
         """All (from, to) pairs, self loops included."""
-        return [(int(p), s) for s in range(self.n_states) for p in self.pred[s]]
+        n = self.n_states
+        return [(int(p), s) for s in range(n) for p in self.pred[:, s] if p < n]
 
 
 def ctc_expand(lattice: UttLattice, vocab: Vocabulary) -> CtcGraph:
     """Blank-augment a lattice into its frame-transition graph."""
     n_nodes = lattice.n_nodes
-    arcs = lattice.arcs
-    n_states = n_nodes + len(arcs)
-    blank = vocab.blank_id
+    src, dst, uid, word = np.array(lattice.arcs, dtype=np.intp).reshape(-1, 4).T
+    n_arcs = len(src)
+    n_states = n_nodes + n_arcs
+    states = np.arange(n_states)
+    arc_states = states[n_nodes:]
+    no_arc = np.full(n_nodes, -1)
 
-    labels = np.full(n_states, blank, dtype=np.int64)
-    state_arc = np.full(n_states, -1, dtype=np.int64)
-    state_word = np.full(n_states, -1, dtype=np.int64)
-    for a, (_, _, uid, w) in enumerate(arcs):
-        labels[n_nodes + a] = uid
-        state_arc[n_nodes + a] = a
-        state_word[n_nodes + a] = w
+    # Label -> label: arc a into node v, then arc b out of v with another label.
+    by_src = np.argsort(src, kind="stable")
+    first = np.searchsorted(src[by_src], dst, "left")
+    n_next = np.searchsorted(src[by_src], dst, "right") - first
+    a = np.repeat(np.arange(n_arcs), n_next)
+    # for each a in turn, b runs through by_src[first[a] : first[a] + n_next[a]]
+    b = by_src[np.repeat(first - np.cumsum(n_next) + n_next, n_next) + np.arange(len(a))]
+    keep = uid[a] != uid[b]
+    a, b = a[keep], b[keep]
 
-    out_arcs: list[list[int]] = [[] for _ in range(n_nodes)]
-    in_arcs: list[list[int]] = [[] for _ in range(n_nodes)]
-    for a, (u, v, _, _) in enumerate(arcs):
-        out_arcs[u].append(a)
-        in_arcs[v].append(a)
+    # Self loops, node blank -> label state, label state -> node blank, label -> label.
+    frm = np.concatenate([states, src, arc_states, arc_states[a]])
+    to = np.concatenate([states, arc_states, dst, arc_states[b]])
+    pred = _neighbour_table(to, frm, n_states)
+    initial = np.concatenate([[0], arc_states[src == 0]])
+    final = np.concatenate([[n_nodes - 1], arc_states[dst == n_nodes - 1]])
 
-    succ: list[set[int]] = [set() for _ in range(n_states)]
-    for s in range(n_states):
-        succ[s].add(s)
-    for a, (u, v, uid, _) in enumerate(arcs):
-        sa = n_nodes + a
-        succ[u].add(sa)            # node blank -> label state
-        succ[sa].add(v)            # label state -> node blank
-        for b in out_arcs[v]:      # label -> label, different labels only
-            if arcs[b][2] != uid:
-                succ[sa].add(n_nodes + b)
+    # Minimal accepted path length: the first frame at which a final state
+    # is reachable (n_states + 1 when none ever is).
+    reach = np.zeros(n_states + 1, dtype=bool)
+    reach[initial] = True
+    for min_frames in range(1, n_states + 2):
+        if reach[final].any():
+            break
+        reach[:-1] = reach[pred].any(axis=0)
 
-    pred: list[set[int]] = [set() for _ in range(n_states)]
-    for s, outs in enumerate(succ):
-        for t in outs:
-            pred[t].add(s)
-
-    source, sink = 0, n_nodes - 1
-    initial = np.array(sorted([source] + [n_nodes + a for a in out_arcs[source]]),
-                       dtype=np.int64)
-    final = np.array(sorted([sink] + [n_nodes + a for a in in_arcs[sink]]),
-                     dtype=np.int64)
-
-    pred_a = [np.array(sorted(p), dtype=np.int64) for p in pred]
-    succ_a = [np.array(sorted(s), dtype=np.int64) for s in succ]
-
-    # Minimal accepted path length: BFS on the self-loop-free transition graph.
-    INF = n_states + 1
-    dist = np.full(n_states, INF, dtype=np.int64)
-    dist[initial] = 1
-    order = sorted(range(n_states), key=_state_rank(n_nodes, arcs))
-    for s in order:
-        if dist[s] >= INF:
-            continue
-        for t in succ_a[s]:
-            if t != s and dist[s] + 1 < dist[t]:
-                dist[t] = dist[s] + 1
-    min_frames = int(dist[final].min())
-
-    label_adj = [np.array(sorted(n_nodes + b for b in out_arcs[v]), dtype=np.int64) - n_nodes
-                 for (_, v, _, _) in arcs]
     return CtcGraph(
-        labels=labels,
-        blank=blank,
+        labels=np.concatenate([np.full(n_nodes, vocab.blank_id), uid]),
+        blank=vocab.blank_id,
         initial=initial,
         final=final,
-        pred=pred_a,
-        succ=succ_a,
-        state_arc=state_arc,
-        state_word=state_word,
+        pred=pred,
+        succ=_neighbour_table(frm, to, n_states),
+        state_arc=np.concatenate([no_arc, np.arange(n_arcs)]),
+        state_word=np.concatenate([no_arc, word]),
         min_frames=min_frames,
-        label_adj=label_adj,
-        label_initial=np.array(sorted(out_arcs[source]), dtype=np.int64),
-        label_final=np.array(sorted(in_arcs[sink]), dtype=np.int64),
-        arc_labels=np.array([uid for (_, _, uid, _) in arcs], dtype=np.int64),
     )
 
 
-def _state_rank(n_nodes, arcs):
-    # Topological key: blanks sort at their node position, label states between
-    # their endpoints.  Node ids increase along the lattice by construction.
-    def rank(s):
-        if s < n_nodes:
-            return (s, 0)
-        u, v, _, _ = arcs[s - n_nodes]
-        return (u, 1, v, s)
-    return rank
+def _neighbour_table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Column r lists the ``cols`` paired with row r, ascending, padded with n."""
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    count = np.bincount(rows, minlength=n)
+    table = np.full((count.max(), n), n, dtype=np.intp)
+    table[np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count), rows] = cols
+    return table
 
 
-def path_stats(g: CtcGraph | WordSegDAG | UttLattice) -> tuple[int, int, int]:
+def path_stats(g: WordSegDAG | UttLattice) -> tuple[int, int, int]:
     """(path count, shortest label length, longest label length) by DP."""
     count, _, lo, hi = _label_path_dp(g)
     return count, lo, hi
 
 
-def path_length_stats(g: CtcGraph | WordSegDAG | UttLattice) -> tuple[int, float]:
+def path_length_stats(g: WordSegDAG | UttLattice) -> tuple[int, float]:
     """(path count, mean label length over all paths)."""
     count, total, _, _ = _label_path_dp(g)
     return count, total / count if count else 0.0
 
 
 def _label_path_dp(g):
-    if isinstance(g, CtcGraph):
-        n = len(g.arc_labels)
-        starts, finals, adj = g.label_initial, g.label_final, g.label_adj
-        order = range(n)
-    else:
-        lattice = lattice_from_dag(g) if isinstance(g, WordSegDAG) else g
-        n = len(lattice.arcs)
-        out_by_node: list[list[int]] = [[] for _ in range(lattice.n_nodes)]
-        for a, (u, _, _, _) in enumerate(lattice.arcs):
-            out_by_node[u].append(a)
-        starts = out_by_node[0]
-        finals = [a for a, (_, v, _, _) in enumerate(lattice.arcs)
-                  if v == lattice.n_nodes - 1]
-        adj = [out_by_node[lattice.arcs[a][1]] for a in range(n)]
-        order = range(n)
+    lattice = lattice_from_dag(g) if isinstance(g, WordSegDAG) else g
+    n = len(lattice.arcs)
+    out_by_node: list[list[int]] = [[] for _ in range(lattice.n_nodes)]
+    for a, (u, _, _, _) in enumerate(lattice.arcs):
+        out_by_node[u].append(a)
+    starts = out_by_node[0]
+    finals = [a for a, (_, v, _, _) in enumerate(lattice.arcs)
+              if v == lattice.n_nodes - 1]
 
     INF = 1 << 60
     count = [0] * n
@@ -322,11 +287,10 @@ def _label_path_dp(g):
         count[a], total[a], lo[a], hi[a] = 1, 1, 1, 1
     # Arc order is topological: an arc's id can only feed arcs with larger
     # source nodes, and arcs are sorted by source node first.
-    for a in order:
+    for a in range(n):
         if not count[a]:
             continue
-        for b in adj[a]:
-            b = int(b)
+        for b in out_by_node[lattice.arcs[a][1]]:
             count[b] += count[a]
             total[b] += total[a] + count[a]
             lo[b] = min(lo[b], lo[a] + 1)

@@ -64,13 +64,13 @@ class VariantStats:
         self.counts: dict[str, dict[UnitSeq, int]] = {}
         self.word_total: dict[str, int] = {}
 
-    def add(self, word: str, variant: UnitSeq) -> None:
+    def add(self, word: str, variant: UnitSeq, count: int = 1) -> None:
         spelled = "".join(s for s, _ in variant)
         if spelled != word:
             raise ValueError(f"variant {variant!r} does not spell {word!r}")
         per = self.counts.setdefault(word, {})
-        per[variant] = per.get(variant, 0) + 1
-        self.word_total[word] = self.word_total.get(word, 0) + 1
+        per[variant] = per.get(variant, 0) + count
+        self.word_total[word] = self.word_total.get(word, 0) + count
 
     def __len__(self):
         return len(self.counts)
@@ -116,11 +116,11 @@ class VariantStats:
                 word, count_s, tokens = parts
                 try:
                     count = int(count_s)
-                    variant = tuple(parse_marked(tok) for tok in tokens.split())
+                    if count <= 0:
+                        raise ValueError(f"count {count} is not positive")
+                    stats.add(word, tuple(parse_marked(tok) for tok in tokens.split()), count)
                 except ValueError as exc:
                     raise FormatError(str(exc), path=path, line=lineno) from exc
-                for _ in range(count):
-                    stats.add(word, variant)
         return stats
 
 
@@ -154,7 +154,7 @@ def utterance_lattice(words, vocab: Vocabulary, table: SegTable,
 
 
 def build_dataset(corp: corpus_io.Corpus, vocab: Vocabulary, table: SegTable):
-    """(features, lattice) pairs plus per-utterance expanded graphs."""
+    """One (features, lattice) pair per utterance."""
     cache: dict = {}
     pairs = []
     for utt in corp:
@@ -164,28 +164,26 @@ def build_dataset(corp: corpus_io.Corpus, vocab: Vocabulary, table: SegTable):
 
 
 def align_corpus(params: EncoderParams, dataset, prior_scale: float,
-                 vocab: Vocabulary):
+                 vocab: Vocabulary, graphs=None):
     """Viterbi-align every feasible utterance and bucket the per-word
-    variants.
+    variants.  ``graphs``, when given, holds each lattice's expanded graph;
+    otherwise the lattices are expanded here.
 
     The label prior is estimated from this model's posteriors over the very
     utterances being aligned, then flattens the scores as
     ``logp - prior_scale * log q``.  Returns (alignments, stats, skipped).
     """
-    graphs = []
     posteriors = []
     feasible = []
     skipped = 0
     for i, (feats, lat) in enumerate(dataset):
         x = np.asarray(getattr(feats, "values", feats), dtype=np.float64)
-        graph = ctc_expand(lat, vocab)
+        graph = ctc_expand(lat, vocab) if graphs is None else graphs[i]
         if subsampled_length(x.shape[0], params.subsample_factor) < graph.min_frames:
             skipped += 1
             continue
-        logp = encode(x, params)
-        feasible.append((i, feats, lat))
-        graphs.append(graph)
-        posteriors.append(logp)
+        feasible.append((i, feats, lat, graph))
+        posteriors.append(encode(x, params))
     if not feasible:
         raise ValueError("every utterance is infeasible at this subsampling")
     if skipped:
@@ -194,7 +192,7 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
 
     stats = VariantStats()
     aligned = []
-    for (i, feats, lat), graph, logp in zip(feasible, graphs, posteriors):
+    for (i, feats, lat, graph), logp in zip(feasible, posteriors):
         ali = viterbi(graph, logp, prior, prior_scale)
         per_word: dict[int, list[int]] = {}
         for state in dict.fromkeys(ali.frame_states):
@@ -359,11 +357,13 @@ def run_pipeline(corp: corpus_io.Corpus, entries, config: PipelineConfig,
             params = resize_output(params, vocab.num_classes, seed, keep_lower=True)
             set_subsample(params, factor)
         dataset = build_dataset(corp, vocab, table)
-        tr = train(dataset, params, replace(config.train, seed=seed + 1), vocab)
+        graphs = [ctc_expand(lat, vocab) for _, lat in dataset]
+        tr = train([(feats, g) for (feats, _), g in zip(dataset, graphs)], params,
+                   replace(config.train, seed=seed + 1))
         log.info("round %d: trained %d epochs, final train loss %.4f",
                  round_no, len(tr.curve), tr.curve[-1][0])
-        aligned, stats, skipped = align_corpus(params, dataset,
-                                               config.prior_scale, vocab)
+        aligned, stats, skipped = align_corpus(params, dataset, config.prior_scale,
+                                               vocab, graphs)
         skipped_counts.append(skipped)
         if last:
             table, vocab = finalize(stats, config.min_count, config.min_weight)

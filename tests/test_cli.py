@@ -237,7 +237,8 @@ def test_numerical_failure_exits_3(datadir, tmp_path, capsys):
                  "--out-segtable", table0]) == 0
     vocab = Vocabulary.load(vocab0)
     params = init_params(8, (16,), vocab.num_classes, 2, (0,), seed=0)
-    params.arrays()[0][:] = np.nan
+    # finite weights whose output scores overflow: NaN posteriors at align time
+    params.out_w[:] = 1e308
     broken = str(tmp_path / "broken.tsv")
     save_params(params, broken)
     capsys.readouterr()
@@ -247,3 +248,34 @@ def test_numerical_failure_exits_3(datadir, tmp_path, capsys):
                str(tmp_path / "stats.tsv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_exits_2(datadir, tmp_path, capsys):
+    d = str(datadir)
+    vocab0 = str(tmp_path / "vocab0.tsv")
+    table0 = str(tmp_path / "table0.tsv")
+    assert main(["init", "--g2p", f"{d}/g2p.tsv", "--transcripts",
+                 f"{d}/transcripts.tsv", "--out-vocab", vocab0,
+                 "--out-segtable", table0]) == 0
+    vocab = Vocabulary.load(vocab0)
+    params = init_params(8, (16,), vocab.num_classes, 2, (0,), seed=0)
+    params.arrays()[0][:] = np.nan
+    broken = str(tmp_path / "broken.tsv")
+    save_params(params, broken)
+    capsys.readouterr()
+    rc = main(["align", "--features", f"{d}/features.tsv", "--transcripts",
+               f"{d}/transcripts.tsv", "--vocab", vocab0, "--segtable", table0,
+               "--params", broken, "--lambda", "0.3", "--out-stats",
+               str(tmp_path / "stats.tsv")])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_positive_stats_count_exits_2(tmp_path, capsys):
+    stats = tmp_path / "stats.tsv"
+    stats.write_text("#adsm-stats-v1\nab\t-1\tab_\n", encoding="utf-8")
+    rc = main(["refine", "--stats", str(stats), "--mu", "0.05",
+               "--out-vocab", str(tmp_path / "v.tsv"),
+               "--out-segtable", str(tmp_path / "t.tsv")])
+    assert rc == 2
+    assert "not positive" in capsys.readouterr().err

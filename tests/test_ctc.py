@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from adsm.ctc import (collapse, enumerate_oracle, estimate_prior, log_loss,
-                      sample_path, viterbi)
+                      logsumexp, sample_path, viterbi)
 from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import build_word_dag_explicit, build_word_dag_implicit, \
     concat_utterance, ctc_expand, enumerate_label_paths, lattice_from_dag
 from adsm.vocab import Vocabulary
-from conftest import chars_vocab, flagged, random_logp, random_oracle_instance
+from conftest import (chars_vocab, flagged, implicit_instance, random_logp,
+                      random_oracle_instance)
 from _reference import ctc_loss_single
 
 
@@ -227,3 +228,42 @@ def test_forced_blank_between_repeated_units():
     assert loss == pytest.approx(enumerate_oracle(lat, logp).loss, rel=1e-9)
     a_ = vocab.id_of[("a", True)]
     assert set(enumerate_oracle(lat, logp).path_probs) == {(a_, vocab.blank_id, a_)}
+
+
+def test_forward_only_loss_equals_full_loss_on_c1_instances():
+    rng = np.random.default_rng(20)     # the instances of acceptance check C1
+    for _ in range(200):
+        lat, vocab, logp = random_oracle_instance(rng)
+        graph = ctc_expand(lat, vocab)
+        loss, occ = log_loss(graph, logp, occupancy=False)
+        assert occ is None
+        assert loss == log_loss(graph, logp)[0]
+
+
+def test_logsumexp_of_all_minus_inf_rows_is_minus_inf():
+    x = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [-np.inf, -np.inf]])
+    with np.errstate(all="raise"):
+        out = logsumexp(x, axis=1)
+        cols = logsumexp(x, axis=0)
+    np.testing.assert_array_equal(out[:, 0], [-np.inf, 0.0, -np.inf])
+    np.testing.assert_array_equal(cols[0], [math.log(1.0), -np.inf])
+
+
+def test_dp_raises_no_floating_point_warning():
+    # Every state past the initial ones is unreachable at frame 0, and at
+    # T == min_frames many states can reach no final state in time.
+    rng = np.random.default_rng(109)
+    instances = [random_oracle_instance(rng) for _ in range(40)]
+    instances += [implicit_instance(rng, word) for word in ("abba", "abab", "aab")]
+    for lat, vocab, _ in instances:
+        graph = ctc_expand(lat, vocab)
+        assert graph.n_states > len(graph.initial)
+        prior = np.full(vocab.num_classes, 1.0 / vocab.num_classes)
+        for T in (graph.min_frames, graph.min_frames + 2):
+            logp = random_logp(rng, T, vocab.num_classes)
+            with np.errstate(all="raise"):
+                loss, occ = log_loss(graph, logp)
+                ali = viterbi(graph, logp, prior, 0.3)
+                drawn = sample_path(graph, logp, rng=rng)
+            assert np.isfinite(loss) and np.all(np.isfinite(occ))
+            assert len(ali.frame_states) == len(drawn.frame_states) == T

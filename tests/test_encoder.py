@@ -164,6 +164,22 @@ def test_train_restores_best_holdout_epoch():
     assert final == pytest.approx(best, abs=1e-12)
 
 
+def test_train_holdout_leaves_one_utterance_to_train_on():
+    vocab, data = toy_dataset()
+    cfg = TrainConfig(learning_rate=0.5, epochs=2, seed=7, holdout_fraction=0.9)
+    # one utterance: nothing is held out and the training loss is monitored
+    p = init_params(3, (6,), vocab.num_classes, seed=5)
+    result = train(data[:1], p, cfg)
+    assert all(math.isnan(h) for _, h in result.curve)
+    # two utterances: 0.9 rounds to both, but one is kept for training, so the
+    # first epoch's training loss is one utterance's loss under the initial model
+    p = init_params(3, (6,), vocab.num_classes, seed=5)
+    initial = [log_loss(g, encode(x, p))[0] for x, g in data[:2]]
+    result = train(data[:2], p, cfg)
+    assert all(np.isfinite(h) for _, h in result.curve)
+    assert result.curve[0][0] in initial
+
+
 def test_train_skips_infeasible_and_rejects_empty():
     vocab, data = toy_dataset(n=6, T=6)
     v2 = chars_vocab("ab")
@@ -223,3 +239,20 @@ def test_params_load_rejects_bad_files(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(FormatError):
         load_params(path)
+
+
+def test_params_load_rejects_non_finite_values_and_bad_array_lines(tmp_path):
+    path = tmp_path / "params.txt"
+    save_params(init_params(3, (4,), 5, seed=0), path)
+    lines = path.read_text().splitlines()
+    first_value = lines.index(next(l for l in lines if l.startswith("array\t"))) + 1
+    for bad in ("nan", "inf", "-inf"):
+        edited = lines[:first_value] + [bad] + lines[first_value + 1:]
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(FormatError, match="non-finite"):
+            load_params(path)
+    for bad in ("array\tw0", "array\tw0\tthree 4", "arrays\tw0\t12 4"):
+        edited = lines[:first_value - 1] + [bad] + lines[first_value:]
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(FormatError, match="array"):
+            load_params(path)

@@ -141,9 +141,11 @@ def test_ctc_expand_structure():
         trans = set(g.transitions())
         for s in range(g.n_states):
             assert (s, s) in trans  # self loops everywhere
-        # cross-check succ/pred symmetry
+        # cross-check succ/pred symmetry; tables are ascending, sentinel-padded
         assert trans == {(s, int(t)) for s in range(g.n_states)
-                         for t in g.succ[s]}
+                         for t in g.succ[:, s] if t < g.n_states}
+        for table in (g.pred, g.succ):
+            assert np.all((np.diff(table, axis=0) > 0) | (table[1:] == g.n_states))
         for a, (u, v, uid, _) in enumerate(lat.arcs):
             s = n_nodes + a
             assert (u, s) in trans and (s, v) in trans
@@ -183,7 +185,38 @@ def test_path_stats_match_enumeration():
         assert count == len(paths)
         assert mean == pytest.approx(sum(lens) / len(lens))
         g = ctc_expand(lat, vocab)
-        assert path_stats(g) == path_stats(lat)
+        walked = graph_label_paths(g)
+        assert sorted(walked) == sorted(paths)
+        assert (len(walked), min(map(len, walked)), max(map(len, walked))) == path_stats(lat)
+
+
+def graph_label_paths(g):
+    """Label sequence of every path over label states, walked through the
+    graph's successor table: after a label state the next one follows
+    directly or through one blank state."""
+    n = g.n_states
+
+    def succ(s):
+        return {int(t) for t in g.succ[:, s] if t < n and t != s}
+
+    def next_labels(s):
+        return {t for v in succ(s) for t in ({v} if g.labels[v] != g.blank else succ(v))
+                if g.labels[t] != g.blank}
+
+    final = set(g.final.tolist())
+    out = []
+
+    def walk(s, prefix):
+        prefix = prefix + (int(g.labels[s]),)
+        if s in final:
+            out.append(prefix)
+        for t in next_labels(s):
+            walk(t, prefix)
+
+    for s in g.initial.tolist():
+        if g.labels[s] != g.blank:
+            walk(s, ())
+    return out
 
 
 def test_dumps_are_line_oriented():

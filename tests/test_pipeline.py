@@ -70,6 +70,20 @@ def test_variant_stats_save_load(tmp_path):
         VariantStats.load(p)
 
 
+def test_variant_stats_load_stores_counts_and_rejects_non_positive(tmp_path):
+    p = tmp_path / "stats.tsv"
+    p.write_text("#adsm-stats-v1\nab\t1000000000\tab_\nab\t3\ta b_\n")
+    stats = VariantStats.load(p)
+    assert stats.counts == {"ab": {AB_WHOLE: 10**9, AB_SPLIT: 3}}
+    assert stats.word_total == {"ab": 10**9 + 3}
+    stats.save(p)
+    assert VariantStats.load(p).counts == stats.counts
+    for count in ("0", "-2"):
+        p.write_text(f"#adsm-stats-v1\nab\t{count}\tab_\ncd\t1\tcd_\n")
+        with pytest.raises(FormatError, match="positive"):
+            VariantStats.load(p)
+
+
 def test_utterance_lattice_explicit_matches_implicit():
     vocab = Vocabulary.from_units(
         [("a", False), ("a", True), ("b", False), ("b", True), ("ab", True)])
