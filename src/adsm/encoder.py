@@ -189,6 +189,8 @@ def _forward(x: np.ndarray, params: EncoderParams):
             h = pair.max(axis=1)
     score = h @ params.out_w + params.out_b
     logp = score - logsumexp(score, axis=1)
+    if not np.isfinite(logp).all():
+        raise NumericalError("encoder produced non-finite log-posteriors")
     cache = (stages, h, logp)
     return logp, cache
 

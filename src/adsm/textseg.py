@@ -41,10 +41,12 @@ class SubwordNgramLM:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be at least 1")
-        if self.add_k <= 0:
-            raise ValueError("smoothing constant must be positive")
+        if not (math.isfinite(self.add_k) and self.add_k > 0):
+            raise ValueError("smoothing constant must be finite and positive")
         if EOS not in self.events:
             raise ValueError("event inventory must contain the end symbol")
+        if len(set(self.events)) != len(self.events):
+            raise ValueError("event inventory repeats an event")
         self._event_set = set(self.events)
 
     def _history(self, tokens: tuple[str, ...]) -> tuple[str, ...]:
@@ -112,7 +114,7 @@ class SubwordNgramLM:
                     if len(parts) != 4:
                         raise FormatError("expected ngram<TAB>hist<TAB>event<TAB>count",
                                           path=path, line=lineno)
-                    rows.append(parts[1:])
+                    rows.append((lineno, *parts[1:]))
                 elif len(parts) == 2:
                     meta[parts[0]] = parts[1]
                 else:
@@ -122,9 +124,24 @@ class SubwordNgramLM:
                      events=tuple(meta["events"].split()))
         except (KeyError, ValueError) as exc:
             raise FormatError(f"bad LM metadata: {exc}", path=path) from exc
-        for hs, event, count_s in rows:
+        units = lm._event_set - {EOS}
+        for lineno, hs, event, count_s in rows:
             h = () if hs == "-" else tuple(hs.split())
-            lm.add(h, event, float(count_s))
+            try:
+                count = float(count_s)
+            except ValueError:
+                raise FormatError(f"count {count_s!r} is not a number",
+                                  path=path, line=lineno) from None
+            if not (math.isfinite(count) and count > 0):
+                raise FormatError(f"count {count_s!r} is not finite and positive",
+                                  path=path, line=lineno)
+            if event not in lm._event_set:
+                raise FormatError(f"event {event!r} is not in the inventory",
+                                  path=path, line=lineno)
+            if len(h) != lm.order - 1 or not all(t == BOS or t in units for t in h):
+                raise FormatError(f"history {hs!r} is not {lm.order - 1} start "
+                                  "symbols or units", path=path, line=lineno)
+            lm.add(h, event, count)
         return lm
 
 
@@ -205,11 +222,15 @@ def segment_word(word: str, table: SegTable, lm: SubwordNgramLM,
     if word in table:
         if mode == "best":
             return tuple(table.vocab.unit(i) for i in table.best_variant(word))
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)
         variants = table.unit_variants(word)
         weights = np.array([w for _, w in variants])
-        pick = int(rng.choice(len(variants), p=weights / weights.sum()))
-        return variants[pick][0]
+        # The draw Generator.choice(len(variants), p=p) makes, without its
+        # per-call checks of p (the SegTable constructor enforces weights in
+        # (0, 1] summing to 1): same pick, same generator state afterwards.
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return variants[int(cdf.searchsorted(rng.random(), side="right"))][0]
     result = _segment_dp(word, table.vocab, lm)
     if result is None:
         missing = sorted({ch for ch in word if (ch, True) not in table.vocab
@@ -223,14 +244,25 @@ def segment_word(word: str, table: SegTable, lm: SubwordNgramLM,
 def segment_corpus(lines, table: SegTable, lm: SubwordNgramLM,
                    mode: str = "best", seed: int = 0) -> list[str]:
     """Space-joined marked tokens per line; word-end markers make the
-    mapping invertible."""
+    mapping invertible.
+
+    A segmentation that draws nothing (every word in ``best`` mode, unseen
+    words in ``sample`` mode) is computed once per distinct word.  Unseen
+    words never consume the generator, so the sampled lines are the same as
+    segmenting every occurrence with :func:`segment_word`.
+    """
     rng = np.random.default_rng(seed)
+    fixed: dict[str, list[str]] = {}
     out = []
     for line in lines:
         tokens: list[str] = []
         for word in line.split():
-            units = segment_word(word, table, lm, mode, rng)
-            tokens.extend(marked(u) for u in units)
+            toks = fixed.get(word)
+            if toks is None:
+                toks = [marked(u) for u in segment_word(word, table, lm, mode, rng)]
+                if mode == "best" or word not in table:
+                    fixed[word] = toks
+            tokens.extend(toks)
         out.append(" ".join(tokens))
     return out
 

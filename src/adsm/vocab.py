@@ -131,15 +131,21 @@ class Vocabulary:
                 if len(parts) != 3:
                     raise FormatError("expected 3 tab-separated fields", path=path, line=lineno)
                 spelling, end_s, id_s = parts
+                if end_s not in ("0", "1"):
+                    raise FormatError(f"word_end must be 0 or 1, not {end_s!r}",
+                                      path=path, line=lineno)
                 try:
-                    rows.append((int(id_s), (spelling, bool(int(end_s)))))
+                    rows.append((int(id_s), (spelling, end_s == "1")))
                 except ValueError as exc:
                     raise FormatError(str(exc), path=path, line=lineno) from exc
         ids = sorted(i for i, _ in rows)
         if ids != list(range(len(rows))):
             raise FormatError("unit ids are not dense", path=path)
         ordered = [unit for _, unit in sorted(rows)]
-        return cls(ordered)
+        try:
+            return cls(ordered)
+        except ValueError as exc:
+            raise FormatError(str(exc), path=path) from exc
 
 
 class SegMode(enum.Enum):
@@ -164,17 +170,15 @@ class SegTable:
         self.mode = mode
         self.vocab = vocab
         self.entries = entries
-        if mode is SegMode.EXPLICIT:
-            for word, variants in entries.items():
-                self._check_word_entry(word, variants)
-        else:
-            for word, variants in entries.items():
-                check_word_chars(word)
-                if variants:
-                    raise ValueError("implicit table cannot store variants")
+        for word, variants in entries.items():
+            self._check_word_entry(word, variants)
 
     def _check_word_entry(self, word: str, variants: list[Variant]) -> None:
         check_word_chars(word)
+        if self.mode is SegMode.IMPLICIT_ALL:
+            if variants:
+                raise ValueError("implicit table cannot store variants")
+            return
         if not variants:
             raise ValueError(f"word {word!r} has no variants")
         total = 0.0
@@ -260,12 +264,14 @@ class SegTable:
             except ValueError as exc:
                 raise FormatError("unknown segtable mode", path=path, line=1) from exc
             entries: dict[str, list[Variant]] = {}
+            first_line: dict[str, int] = {}
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 if mode is SegMode.IMPLICIT_ALL:
                     entries.setdefault(line, [])
+                    first_line.setdefault(line, lineno)
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3:
@@ -277,7 +283,16 @@ class SegTable:
                 except (KeyError, ValueError) as exc:
                     raise FormatError(f"bad variant: {exc}", path=path, line=lineno) from exc
                 entries.setdefault(word, []).append((ids, weight))
-        return cls(mode, vocab, entries)
+                first_line.setdefault(word, lineno)
+        # Check word by word so that an error names the word's first line.
+        table = cls(mode, vocab, {})
+        for word, variants in entries.items():
+            try:
+                table._check_word_entry(word, variants)
+            except ValueError as exc:
+                raise FormatError(str(exc), path=path, line=first_line[word]) from exc
+        table.entries = entries
+        return table
 
     def remap(self, new_vocab: Vocabulary) -> "SegTable":
         """Re-encode all variants against another vocabulary."""

@@ -8,7 +8,7 @@ from adsm.encoder import (EncoderParams, TrainConfig, encode, flatten_params,
                           set_flat_params, set_subsample, subsampled_length,
                           train, utterance_grads)
 from adsm.ctc import log_loss
-from adsm.errors import FormatError
+from adsm.errors import FormatError, NumericalError
 from adsm.lattice import build_word_dag_implicit, ctc_expand, lattice_from_dag
 from adsm.vocab import Vocabulary
 from conftest import chars_vocab
@@ -66,6 +66,15 @@ def test_encode_shape_and_normalization():
             np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, rtol=1e-12)
     with pytest.raises(ValueError, match="expected"):
         encode(rng.standard_normal((4, 3)), p)
+
+
+def test_encode_raises_where_finite_weights_overflow():
+    rng = np.random.default_rng(4)
+    p = init_params(8, (16,), 5, 2, (0,), seed=0)
+    p.out_w[:] = 1e308          # finite, but the output scores overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            encode(rng.standard_normal((6, 8)), p)
 
 
 def test_encode_matches_manual_single_layer():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adsm import textseg
 from adsm.errors import FormatError
 from adsm.textseg import (BOS, EOS, SubwordNgramLM, detokenize,
                           segment_corpus, segment_word, train_lm)
@@ -82,18 +83,20 @@ def test_score_and_perplexity():
 
 
 def test_lm_save_load_round_trip(tmp_path):
-    lm = counted_lm()
-    lm.add((), "a", 0.25)  # order-1 style empty history exercises the "-" form
-    p1, p2 = tmp_path / "lm1.tsv", tmp_path / "lm2.tsv"
-    lm.save(p1)
-    back = SubwordNgramLM.load(p1)
-    assert back.order == lm.order
-    assert back.add_k == lm.add_k
-    assert back.events == lm.events
-    assert back.counts == lm.counts
-    assert back.totals == lm.totals
-    back.save(p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    unigram = SubwordNgramLM(order=1, add_k=0.25, events=("a", "b_", EOS))
+    unigram.add((), "a", 0.25)  # order 1: the empty history takes the "-" form
+    unigram.add((), EOS, 3.0)
+    for lm in (counted_lm(), unigram, train_lm(small_table(), order=3)):
+        p1, p2 = tmp_path / "lm1.tsv", tmp_path / "lm2.tsv"
+        lm.save(p1)
+        back = SubwordNgramLM.load(p1)
+        assert back.order == lm.order
+        assert back.add_k == lm.add_k
+        assert back.events == lm.events
+        assert back.counts == lm.counts
+        assert back.totals == lm.totals
+        back.save(p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_lm_load_rejects_bad_files(tmp_path):
@@ -110,6 +113,42 @@ def test_lm_load_rejects_bad_files(tmp_path):
     path.write_text("#adsm-lm-v1\nadd_k\t0.1\nevents\t</s>\n", encoding="utf-8")
     with pytest.raises(FormatError):  # order missing
         SubwordNgramLM.load(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("<s>\ta\tabc", "not a number"),
+    ("<s>\ta\t-5.0", "finite and positive"),
+    ("<s>\ta\t0", "finite and positive"),
+    ("<s>\ta\tnan", "finite and positive"),
+    ("<s>\ta\tinf", "finite and positive"),
+    ("<s>\tzz\t1.0", "inventory"),
+    ("x y z\ta\t1.0", "history"),
+    ("a b_\ta\t1.0", "history"),
+    ("-\ta\t1.0", "history"),
+    ("zz\ta\t1.0", "history"),
+    ("</s>\ta\t1.0", "history"),
+])
+def test_lm_load_rejects_malformed_ngrams(tmp_path, row, message):
+    path = tmp_path / "lm.tsv"
+    path.write_text("#adsm-lm-v1\norder\t2\nadd_k\t0.5\nevents\ta b_ </s>\n"
+                    "ngram\ta\tb_\t2.0\n" + f"ngram\t{row}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=message) as err:
+        SubwordNgramLM.load(path)
+    assert err.value.line == 6
+
+
+@pytest.mark.parametrize("add_k", ["nan", "inf", "0", "-1"])
+def test_lm_load_rejects_bad_smoothing_constant(tmp_path, add_k):
+    path = tmp_path / "lm.tsv"
+    path.write_text(f"#adsm-lm-v1\norder\t2\nadd_k\t{add_k}\nevents\ta </s>\n",
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match="smoothing"):
+        SubwordNgramLM.load(path)
+
+
+def test_lm_rejects_repeated_events():
+    with pytest.raises(ValueError, match="repeats"):
+        SubwordNgramLM(order=2, add_k=0.1, events=("a", "a", EOS))
 
 
 def test_train_lm_counts():
@@ -235,6 +274,80 @@ def test_segment_corpus_sampling_is_seeded():
     trials = [segment_corpus(lines, table, lm, mode="sample", seed=s)
               for s in range(8)]
     assert len({tuple(t) for t in trials}) > 1
+
+
+def _per_word(lines, table, lm, mode, seed):
+    """Reference: segment every occurrence, sharing one generator."""
+    rng = np.random.default_rng(seed)
+    return [" ".join(marked(u) for word in line.split()
+                     for u in segment_word(word, table, lm, mode, rng))
+            for line in lines]
+
+
+REPEATS = ["ab aab b ab ba", "aab aab ab ab", "ba b ab aab aa ab", "ab aa ba"]
+
+
+def test_segment_corpus_equals_per_word_loop():
+    table = small_table()
+    lm = train_lm(table)
+    for mode in ("best", "sample"):
+        for seed in range(6):
+            assert (segment_corpus(REPEATS, table, lm, mode=mode, seed=seed)
+                    == _per_word(REPEATS, table, lm, mode, seed))
+
+
+def test_segment_corpus_runs_the_dp_once_per_unseen_word(monkeypatch):
+    table = small_table()
+    lm = train_lm(table)
+    calls = []
+    dp = textseg._segment_dp
+
+    def counting(word, vocab, lm):
+        calls.append(word)
+        return dp(word, vocab, lm)
+
+    monkeypatch.setattr(textseg, "_segment_dp", counting)
+    unseen = {w for line in REPEATS for w in line.split() if w not in table}
+    for mode in ("best", "sample"):
+        calls.clear()
+        segment_corpus(REPEATS, table, lm, mode=mode, seed=1)
+        assert sorted(calls) == sorted(unseen)
+    calls.clear()
+    segment_corpus(REPEATS, table, lm)            # a new call starts afresh
+    assert len(calls) == len(unseen)
+
+
+def test_sampling_draw_matches_generator_choice():
+    rng = np.random.default_rng(17)
+    word = "abcd"
+    vocab = Vocabulary.from_units(
+        (word[i:j], j == len(word)) for i in range(4) for j in range(i + 1, 5))
+    spellings = {s for s, _ in vocab}
+    segs = [tuple(vocab.id_of[u] for u in flagged(p))
+            for p in enumerate_segmentations(word, spellings)]
+    for _ in range(60):
+        k = int(rng.integers(1, len(segs) + 1))       # k == 1: one variant, one draw
+        picks = rng.permutation(len(segs))[:k]
+        weights = rng.random(k) ** 3 + 1e-6
+        weights /= weights.sum()
+        table = SegTable.explicit(
+            {word: [(segs[i], float(w)) for i, w in zip(picks, weights)]}, vocab)
+        variants = table.unit_variants(word)
+        p = np.array([w for _, w in variants])
+        seed = int(rng.integers(2**32))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            got = segment_word(word, table, None, mode="sample", rng=ours)
+            assert got == variants[int(ref.choice(len(variants), p=p / p.sum()))][0]
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_segment_corpus_unknown_character_raises_at_first_occurrence():
+    table = small_table()
+    lm = train_lm(table)
+    for mode in ("best", "sample"):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            segment_corpus(["ab aab b", "aab axb ab"], table, lm, mode=mode)
 
 
 def test_detokenize():

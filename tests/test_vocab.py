@@ -78,6 +78,14 @@ def test_vocabulary_load_rejects_bad_files(tmp_path):
     with pytest.raises(FormatError) as err:
         Vocabulary.load(p)
     assert err.value.line == 2
+    for flag in ("7", "-1", "true", ""):
+        p.write_text(f"#adsm-vocab-v1\na\t0\t0\nb\t{flag}\t1\n")
+        with pytest.raises(FormatError, match="word_end") as err:
+            Vocabulary.load(p)
+        assert err.value.line == 3
+    p.write_text("#adsm-vocab-v1\na\t1\t0\na\t1\t1\n")
+    with pytest.raises(FormatError, match="duplicate"):
+        Vocabulary.load(p)
 
 
 def make_table():
@@ -147,6 +155,32 @@ def test_segtable_load_rejects_bad_files(tmp_path):
     p.write_text("#adsm-segtable-v1\tmode=EXPLICIT\nab\ta zz_\t1.0\n")
     with pytest.raises(FormatError, match="bad variant"):
         SegTable.load(p, v)
+
+
+def test_segtable_load_reports_constructor_errors_with_line(tmp_path):
+    v, _ = make_table()
+    p = tmp_path / "seg.tsv"
+    head = "#adsm-segtable-v1\tmode=EXPLICIT\nab\tab_\t1.0\n"
+    cases = {
+        "ba\ta b_\t1.0": "spells",
+        "b\tb_\tnan": "outside",
+        "b\tb_\t0": "outside",
+        "b\tb_\t1.5": "outside",
+        "b\tb_\t-0.5": "outside",
+        "aab\ta ab_\t0.5": "sum",
+        "b\tb_\t0.5\nb\tb_\t0.5": "duplicate",
+    }
+    for body, message in cases.items():
+        p.write_text(head + body + "\n")
+        with pytest.raises(FormatError, match=message) as err:
+            SegTable.load(p, v)
+        assert err.value.line == 3, body      # the word's first line
+    p.write_text("#adsm-segtable-v1\tmode=IMPLICIT_ALL\nab\na b\n")
+    with pytest.raises(FormatError, match="reserved") as err:
+        SegTable.load(p, v)
+    assert err.value.line == 3
+
+
 
 
 def test_segtable_remap_preserves_units():
