@@ -25,6 +25,10 @@ from .vocab import SegTable, Vocabulary, marked
 
 log = logging.getLogger(__name__)
 
+_DEFAULTS = PipelineConfig()
+_TRAIN_FLAGS = {"lr": "learning_rate", "decay": "decay", "epochs": "epochs",
+                "batch": "batch_size", "seed": "seed", "holdout": "holdout_fraction"}
+
 
 def _read_config(path) -> dict[str, str]:
     out = {}
@@ -76,15 +80,16 @@ def _load_table(a: _Args):
     return vocab, table
 
 
+def _setting(a: _Args, key: str, config=_DEFAULTS, field: str | None = None):
+    """Option ``key``, defaulting to the dataclass value of ``field`` (``key``
+    itself by default), so the CLI's defaults are those of the library."""
+    default = getattr(config, field or key)
+    return a.get(key, default, _int_tuple if isinstance(default, tuple) else type(default))
+
+
 def _train_config(a: _Args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=a.get("lr", 2.0, float),
-        decay=a.get("decay", 0.7, float),
-        epochs=a.get("epochs", 40, int),
-        batch_size=a.get("batch", 0, int),
-        seed=a.get("seed", 0, int),
-        holdout_fraction=a.get("holdout", 0.1, float),
-    )
+    return TrainConfig(**{field: _setting(a, flag, _DEFAULTS.train, field)
+                          for flag, field in _TRAIN_FLAGS.items()})
 
 
 def cmd_init(a: _Args) -> int:
@@ -108,9 +113,8 @@ def cmd_train(a: _Args) -> int:
     vocab, table = _load_table(a)
     dataset = build_dataset(corp, vocab, table)
     dim = corp[0].features.values.shape[1]
-    params = init_params(dim, a.get("hidden", (48,), _int_tuple),
-                         vocab.num_classes, a.get("subsample", 2, int),
-                         a.get("radii", (1,), _int_tuple), a.get("seed", 0, int))
+    params = init_params(dim, _setting(a, "hidden"), vocab.num_classes,
+                         _setting(a, "subsample"), _setting(a, "radii"), _setting(a, "seed"))
     result = train(dataset, params, _train_config(a), vocab)
     save_params(params, a.require("out_params"))
     for epoch, (tr, ho) in enumerate(result.curve):
@@ -126,7 +130,7 @@ def cmd_align(a: _Args) -> int:
     params = load_params(a.require("params"))
     dataset = build_dataset(corp, vocab, table)
     aligned, stats, skipped = align_corpus(params, dataset,
-                                           a.get("prior_scale", 0.3, float), vocab)
+                                           _setting(a, "prior_scale"), vocab)
     stats.save(a.require("out_stats"))
     out_ali = a.get("out_alignments", None)
     if out_ali:
@@ -139,7 +143,7 @@ def cmd_align(a: _Args) -> int:
 
 def cmd_refine(a: _Args) -> int:
     stats = VariantStats.load(a.require("stats"))
-    table, vocab = refine(stats, a.get("min_weight", 0.05, float))
+    table, vocab = refine(stats, _setting(a, "min_weight"))
     vocab.save(a.require("out_vocab"))
     table.save(a.require("out_segtable"))
     print(f"kept {sum(len(v) for v in table.entries.values())} variants, "
@@ -159,8 +163,7 @@ def cmd_merge(a: _Args) -> int:
 
 def cmd_finalize(a: _Args) -> int:
     stats = VariantStats.load(a.require("stats"))
-    table, vocab = finalize(stats, a.get("min_count", 20, int),
-                            a.get("min_weight", 0.05, float))
+    table, vocab = finalize(stats, _setting(a, "min_count"), _setting(a, "min_weight"))
     vocab.save(a.require("out_vocab"))
     table.save(a.require("out_segtable"))
     print(f"final table: {len(table)} words, {len(vocab)} units")
@@ -170,17 +173,9 @@ def cmd_finalize(a: _Args) -> int:
 def cmd_run(a: _Args) -> int:
     corp = _load_corpus(a)
     entries = parse_g2p(a.require("g2p"))
-    config = PipelineConfig(
-        prior_scale=a.get("prior_scale", 0.3, float),
-        min_weight=a.get("min_weight", 0.05, float),
-        min_count=a.get("min_count", 20, int),
-        merge_rounds=a.get("merge_rounds", 1, int),
-        subsample=a.get("subsample", 2, int),
-        hidden=a.get("hidden", (48,), _int_tuple),
-        radii=a.get("radii", (1,), _int_tuple),
-        train=_train_config(a),
-        seed=a.get("seed", 0, int),
-    )
+    config = PipelineConfig(train=_train_config(a), **{key: _setting(a, key) for key in (
+        "prior_scale", "min_weight", "min_count", "merge_rounds", "subsample", "hidden",
+        "radii", "seed")})
     result = run_pipeline(corp, entries, config, a.require("outdir"))
     sys.stdout.write(corpus_io.format_report(result.metrics))
     return 0

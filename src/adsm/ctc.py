@@ -75,13 +75,6 @@ def _max(x: np.ndarray) -> np.ndarray:
     return x.max(axis=0)
 
 
-def _emissions(graph: CtcGraph, scores: np.ndarray) -> np.ndarray:
-    """Per-frame state scores, plus the -inf slot the tables' sentinel reads."""
-    emit = np.full((scores.shape[0], graph.n_states + 1), -np.inf)
-    emit[:, :-1] = scores[:, graph.labels]
-    return emit
-
-
 def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np.ndarray:
     """The frame loop of every DP here: row 0 is 0 on the ``first`` states,
     and row t reduces ``row[t-1] + emit[t-1]`` over each state's neighbours
@@ -95,6 +88,62 @@ def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np
     return rows
 
 
+def _block_table(tables: Sequence[np.ndarray], offsets: np.ndarray) -> np.ndarray:
+    """Block-diagonal union of padded neighbour tables: graph b's states move
+    to ``offsets[b]:offsets[b + 1]``, and every pad reads the shared sentinel."""
+    S = offsets[-1]
+    out = np.full((max(t.shape[0] for t in tables), S), S, dtype=np.intp)
+    for t, lo, hi in zip(tables, offsets[:-1], offsets[1:]):
+        out[: t.shape[0], lo:hi] = np.where(t < hi - lo, t + lo, S)
+    return out
+
+
+def _flip(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each column's frames 0..last reversed, -inf after them and in the
+    sentinel slot: its own inverse on those frames."""
+    src = last - np.arange(len(rows))[:, None]
+    out = np.full(rows.shape, -np.inf)
+    out[:, :-1] = np.where(src >= 0, np.take_along_axis(rows[:, :-1], np.maximum(src, 0), 0),
+                           -np.inf)
+    return out
+
+
+def batch_log_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: Sequence[int],
+                   occupancy: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`log_loss` of B utterances in one forward (and backward) sweep
+    over their graphs stacked block-diagonally.  ``logp`` is (B, T, C), its
+    rows from ``lengths[b]`` on finite padding.  Each total is read at its
+    utterance's last frame, and the backward pass runs over each one's own
+    reversed frames, so every value is bitwise that of a separate call.
+    Returns the B losses and the (B, T, C) occupancy, 0 on padded rows."""
+    B, T, C = logp.shape
+    lengths = np.asarray(lengths)
+    for graph, n in zip(graphs, lengths):
+        _check_feasible(graph, n)
+    sizes = [g.n_states for g in graphs]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(B), sizes)
+    labels = np.concatenate([g.labels for g in graphs])
+    last = lengths[owner] - 1
+    emit = np.full((T, offsets[-1] + 1), -np.inf)
+    emit[:, :-1] = logp[owner, :, labels].T
+    first = np.concatenate([g.initial + o for g, o in zip(graphs, offsets)])
+    alpha = _sweep(_block_table([g.pred for g in graphs], offsets), first, emit, logsumexp) + emit
+    totals = np.array([logsumexp(alpha[n - 1, g.final + o]).item()
+                       for g, n, o in zip(graphs, lengths, offsets)])
+    if not np.all(np.isfinite(totals)):
+        raise NumericalError("all accepted paths carry zero probability")
+    if not occupancy:
+        return -totals, None
+    final = np.concatenate([g.final + o for g, o in zip(graphs, offsets)])
+    beta = _flip(_sweep(_block_table([g.succ for g in graphs], offsets), final,
+                        _flip(emit, last), logsumexp), last)
+    gamma = np.exp(alpha[:, :-1] + beta[:, :-1] - totals[owner])   # (T, S) state occupancy
+    occ = np.zeros((B, C, T))
+    np.add.at(occ.reshape(B * C, T), owner * C + labels, gamma.T)
+    return -totals, occ.transpose(0, 2, 1)
+
+
 def log_loss(graph: CtcGraph, logp: np.ndarray,
              occupancy: bool = True) -> tuple[float, np.ndarray | None]:
     """Marginal negative log-likelihood over all accepted frame paths, plus
@@ -106,26 +155,19 @@ def log_loss(graph: CtcGraph, logp: np.ndarray,
     occ[t, c]``.
     """
     logp = _check_posteriors(logp)
-    T = logp.shape[0]
+    losses, occ = batch_log_loss([graph], logp[None], [logp.shape[0]], occupancy)
+    return losses[0].item(), None if occ is None else occ[0]
+
+
+def _trace(graph: CtcGraph, scores: np.ndarray, reduce, pick) -> Alignment:
+    """Sweep forward with ``reduce``, then walk back from the last frame:
+    ``pick`` chooses a final state by its score, then each earlier state
+    among the predecessors of the later one."""
+    T = scores.shape[0]
     _check_feasible(graph, T)
-    emit = _emissions(graph, logp)
-    alpha = _sweep(graph.pred, graph.initial, emit, logsumexp) + emit
-    total = logsumexp(alpha[T - 1, graph.final]).item()
-    if not np.isfinite(total):
-        raise NumericalError("all accepted paths carry zero probability")
-    if not occupancy:
-        return -total, None
-    beta = _sweep(graph.succ, graph.final, emit[::-1], logsumexp)[::-1]
-    gamma = np.exp(alpha[:, :-1] + beta[:, :-1] - total)    # (T, S) state occupancy
-    occ = np.zeros((T, logp.shape[1]))
-    np.add.at(occ.T, graph.labels, gamma.T)
-    return -total, occ
-
-
-def _trace(graph: CtcGraph, score: np.ndarray, pick) -> Alignment:
-    """Walk back from the last frame: ``pick`` chooses a final state by its
-    score, then each earlier state among the predecessors of the later one."""
-    T = score.shape[0]
+    emit = np.full((T, graph.n_states + 1), -np.inf)    # with the sentinel's slot
+    emit[:, :-1] = scores[:, graph.labels]
+    score = _sweep(graph.pred, graph.initial, emit, reduce) + emit
     finals = graph.final
     if not np.isfinite(score[T - 1, finals].max()):
         raise InfeasibleUtteranceError("no accepted path of this length")
@@ -166,8 +208,6 @@ def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
     logp = _check_posteriors(logp)
     if not 0.0 <= prior_scale <= 1.0:
         raise ValueError("prior scale must lie in [0, 1]")
-    T = logp.shape[0]
-    _check_feasible(graph, T)
     scores = logp
     if prior_scale > 0.0:
         if prior is None:
@@ -176,10 +216,7 @@ def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
         if prior.shape != (logp.shape[1],):
             raise ValueError("prior shape does not match class count")
         scores = logp - prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
-
-    emit = _emissions(graph, scores)
-    delta = _sweep(graph.pred, graph.initial, emit, _max) + emit
-    return _trace(graph, delta, np.argmax)
+    return _trace(graph, scores, _max, np.argmax)
 
 
 def estimate_prior(posteriors: Iterable[np.ndarray], num_classes: int) -> np.ndarray:
@@ -208,12 +245,7 @@ def sample_path(graph: CtcGraph, logp: np.ndarray, temperature: float = 1.0,
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    scores = logp / temperature
-    T = scores.shape[0]
-    _check_feasible(graph, T)
-    emit = _emissions(graph, scores)
-    alpha = _sweep(graph.pred, graph.initial, emit, logsumexp) + emit
-    return _trace(graph, alpha, lambda logw: _draw(logw, rng))
+    return _trace(graph, logp / temperature, logsumexp, lambda logw: _draw(logw, rng))
 
 
 def _draw(logw: np.ndarray, rng: np.random.Generator) -> int:

@@ -17,13 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctc import log_loss, logsumexp
+from .ctc import batch_log_loss, logsumexp
 from .errors import FormatError, InfeasibleUtteranceError, NumericalError
 from .lattice import CtcGraph, UttLattice, ctc_expand
 
 log = logging.getLogger(__name__)
 
 PARAMS_HEADER = "#adsm-params-v1"
+CHUNK = 16    # utterances per batched encoder pass and frame-DP sweep
 
 
 @dataclass
@@ -134,24 +135,36 @@ def resize_output(params: EncoderParams, num_classes: int, seed: int = 0,
 
 
 def _window(x: np.ndarray, r: int) -> np.ndarray:
-    """(T, D) -> (T, (2r+1)*D) sliding context with zero edge padding."""
+    """(B, T, D) -> (B, T, (2r+1)*D) sliding context with zero edge padding."""
     if r == 0:
         return x
-    T, D = x.shape
-    xp = np.pad(x, ((r, r), (0, 0)))
-    view = np.lib.stride_tricks.sliding_window_view(xp, 2 * r + 1, axis=0)
-    return view.transpose(0, 2, 1).reshape(T, (2 * r + 1) * D)
+    B, T, D = x.shape
+    xp = np.pad(x, ((0, 0), (r, r), (0, 0)))
+    view = np.lib.stride_tricks.sliding_window_view(xp, 2 * r + 1, axis=1)
+    return view.transpose(0, 1, 3, 2).reshape(B, T, (2 * r + 1) * D)
 
 
 def _unwindow(dxw: np.ndarray, r: int, D: int) -> np.ndarray:
     if r == 0:
         return dxw
-    T = dxw.shape[0]
-    parts = dxw.reshape(T, 2 * r + 1, D)
-    dxp = np.zeros((T + 2 * r, D))
+    B, T = dxw.shape[:2]
+    parts = dxw.reshape(B, T, 2 * r + 1, D)
+    dxp = np.zeros((B, T + 2 * r, D))
     for k in range(2 * r + 1):
-        dxp[k : k + T] += parts[:, k, :]
-    return dxp[r : r + T]
+        dxp[:, k : k + T] += parts[:, :, k]
+    return dxp[:, r : r + T]
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, x.shape[-1])
+
+
+def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(B, T, K) @ (K, H) as one 2-D product.  A lone row is doubled so that it
+    takes BLAS's matrix path as in a batch, not the vector path (other bits)."""
+    flat = _rows(x)
+    out = (np.concatenate([flat, flat]) @ w)[:1] if len(flat) == 1 else flat @ w
+    return out.reshape(*x.shape[:-1], w.shape[1])
 
 
 def set_subsample(params: EncoderParams, factor: int) -> None:
@@ -167,72 +180,101 @@ def subsampled_length(T: int, factor: int) -> int:
     return out
 
 
-def _forward(x: np.ndarray, params: EncoderParams):
-    """Returns (logp, cache) with everything the backward pass needs."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(f"expected (T, {params.input_dim}) features, got {x.shape}")
+def _pad(xs: Sequence[np.ndarray], params: EncoderParams):
+    """Utterances as one zero-padded (B, T_max, D) batch, and their lengths."""
+    xs = [np.asarray(x, dtype=np.float64) for x in xs]
+    for x in xs:
+        if x.ndim != 2 or x.shape[1] != params.input_dim:
+            raise ValueError(f"expected (T, {params.input_dim}) features, got {x.shape}")
+    lengths = np.array([len(x) for x in xs])
+    if len(xs) == 1:
+        return xs[0][None], lengths
+    batch = np.zeros((len(xs), lengths.max(), params.input_dim))
+    for row, x in zip(batch, xs):
+        row[: len(x)] = x
+    return batch, lengths
+
+
+def _fill(h: np.ndarray, lengths: np.ndarray, value: float) -> np.ndarray:
+    """``h`` (B, T, H) with each utterance's rows from its length on set to ``value``."""
+    if lengths.min() == h.shape[1]:
+        return h
+    return np.where((np.arange(h.shape[1]) < lengths[:, None])[..., None], h, value)
+
+
+def _forward(x: np.ndarray, lengths: np.ndarray, params: EncoderParams):
+    """Log-posteriors (B, T', C) of a padded batch, their lengths, and the
+    backward pass's cache.  Padded rows are 0 before each window and the
+    output projection (each utterance sees its own zero edges), -inf before
+    each pool; their log-posteriors are finite and meaningless."""
     stages = []
     h = x
     for i, (w, b, r) in enumerate(zip(params.weights, params.biases, params.radii)):
         xw = _window(h, r)
-        z = xw @ w + b
-        h = np.tanh(z)
-        stages.append(("layer", i, xw, h))
+        h = np.tanh(_matmul(xw, w) + b)
+        stages.append(("layer", i, xw, h, lengths))
         for _ in range(params.pool_after.count(i)):
-            T = h.shape[0]
+            h = _fill(h, lengths, -np.inf)
+            T = h.shape[1]
             if T % 2:
-                h = np.concatenate([h, np.full((1, h.shape[1]), -np.inf)])
-            pair = h.reshape(-1, 2, h.shape[1])
-            which = np.argmax(pair, axis=1)            # (To, H), first max wins
-            stages.append(("pool", T, which, None))
-            h = pair.max(axis=1)
-    score = h @ params.out_w + params.out_b
-    logp = score - logsumexp(score, axis=1)
+                h = np.concatenate([h, np.full((len(h), 1, h.shape[2]), -np.inf)], axis=1)
+            pair = h.reshape(len(h), -1, 2, h.shape[2])
+            which = pair[:, :, 1] > pair[:, :, 0]     # (B, To, H): ties go to the first
+            stages.append(("pool", T, which, None, None))
+            h = np.maximum(pair[:, :, 0], pair[:, :, 1])
+            lengths = (lengths + 1) // 2
+        h = _fill(h, lengths, 0.0)
+    score = _matmul(h, params.out_w) + params.out_b
+    logp = score - logsumexp(score, axis=2)
     if not np.isfinite(logp).all():
         raise NumericalError("encoder produced non-finite log-posteriors")
-    cache = (stages, h, logp)
-    return logp, cache
+    return logp, lengths, (stages, h)
 
 
 def encode(x: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Log-posterior matrix, ceil(T / subsample_factor) rows."""
-    logp, _ = _forward(x, params)
-    return logp
+    return _forward(*_pad([x], params), params)[0][0]
 
 
 def _backward(dscore: np.ndarray, params: EncoderParams, cache):
-    """Gradients of sum-form loss w.r.t. every parameter array and nothing else."""
-    stages, h_last, _ = cache
-    grads = {id(a): np.zeros_like(a) for a in params.arrays()}
-    grads[id(params.out_w)] += h_last.T @ dscore
-    grads[id(params.out_b)] += dscore.sum(axis=0)
-    dh = dscore @ params.out_w.T
-    for kind, a, b, c in reversed(stages):
+    """Gradients of sum-form loss w.r.t. every parameter array and nothing
+    else, summed over the batch; ``dscore`` must be 0 on padded rows."""
+    stages, h_last = cache
+    n = len(params.weights)
+    grads = [None] * (2 * n) + [_rows(h_last).T @ _rows(dscore), _rows(dscore).sum(axis=0)]
+    dh = _matmul(dscore, params.out_w.T)
+    for kind, a, b, c, lengths in reversed(stages):
         if kind == "pool":
             T, which = a, b
-            To = which.shape[0]
-            dpadded = np.zeros((2 * To, which.shape[1]))
-            pair = dpadded.reshape(To, 2, which.shape[1])
-            np.put_along_axis(pair, which[:, None, :], dh[:, None, :], axis=1)
-            dh = dpadded[:T]
+            dpair = np.stack([np.where(which, 0.0, dh), np.where(which, dh, 0.0)], axis=2)
+            dh = dpair.reshape(len(dh), -1, dh.shape[2])[:, :T]
         else:
             i, xw, h = a, b, c
-            dz = dh * (1.0 - h * h)
-            grads[id(params.weights[i])] += xw.T @ dz
-            grads[id(params.biases[i])] += dz.sum(axis=0)
-            dxw = dz @ params.weights[i].T
-            din = params.input_dim if i == 0 else params.hidden_sizes[i - 1]
-            dh = _unwindow(dxw, params.radii[i], din)
-    return [grads[id(a)] for a in params.arrays()]
+            dz = _rows(dh * (1.0 - h * h))
+            grads[i], grads[n + i] = _rows(xw).T @ dz, dz.sum(axis=0)
+            if i:
+                dxw = _matmul(dz, params.weights[i].T).reshape(*xw.shape)
+                dh = _fill(_unwindow(dxw, params.radii[i], params.hidden_sizes[i - 1]),
+                           lengths, 0.0)     # the padding is a constant
+    return grads
+
+
+def _batch_step(items, params: EncoderParams, grads: bool = True):
+    """Losses of (features, graph) pairs from one encoder pass and one DP
+    sweep, and with ``grads`` their summed per-array gradients (else None)."""
+    xs, graphs = zip(*items)
+    logp, lengths, cache = _forward(*_pad(xs, params), params)
+    losses, occ = batch_log_loss(graphs, logp, lengths, occupancy=grads)
+    if not grads:
+        return losses, None
+    dscore = _fill(np.exp(logp) - occ, lengths, 0.0)
+    return losses, _backward(dscore, params, cache)
 
 
 def utterance_grads(x: np.ndarray, graph: CtcGraph, params: EncoderParams):
     """(loss, per-array gradients) for one utterance."""
-    logp, cache = _forward(x, params)
-    loss, occ = log_loss(graph, logp)
-    dscore = np.exp(logp) - occ
-    return loss, _backward(dscore, params, cache)
+    losses, grads = _batch_step([(x, graph)], params)
+    return losses[0].item(), grads
 
 
 @dataclass
@@ -298,10 +340,9 @@ def train(dataset, params: EncoderParams, config: TrainConfig,
         for start in range(0, len(trainset), batch):
             idx = epoch_order[start : start + batch]
             grads = [np.zeros_like(a) for a in arrays]
-            for i in idx:
-                x, graph = trainset[i]
-                loss, g = utterance_grads(x, graph, params)
-                losses.append(loss)
+            for lo in range(0, len(idx), CHUNK):
+                loss, g = _batch_step([trainset[i] for i in idx[lo : lo + CHUNK]], params)
+                losses.extend(loss)
                 for acc, gi in zip(grads, g):
                     acc += gi
             scale = 1.0 / len(idx)
@@ -316,8 +357,9 @@ def train(dataset, params: EncoderParams, config: TrainConfig,
         monitor = train_loss
         hold_loss = np.nan
         if hold:
-            hold_loss = float(np.mean([log_loss(g, encode(x, params), occupancy=False)[0]
-                                       for x, g in hold]))
+            hold_loss = float(np.mean(np.concatenate(
+                [_batch_step(hold[lo : lo + CHUNK], params, grads=False)[0]
+                 for lo in range(0, len(hold), CHUNK)])))
             monitor = hold_loss
         curve.append((train_loss, hold_loss))
         if monitor < best_loss - 1e-12:

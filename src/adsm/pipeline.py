@@ -233,19 +233,7 @@ def _table_from_kept(kept: dict[str, list[tuple[UnitSeq, float]]],
 def refine(stats: VariantStats, min_weight: float) -> tuple[SegTable, Vocabulary]:
     """Drop variants lighter than the floor (keeping at least the best one
     per word), renormalize, and rebuild the vocabulary from what survives."""
-    if not len(stats):
-        raise ValueError("no alignment statistics to refine")
-    kept: dict[str, list[tuple[UnitSeq, float]]] = {}
-    units: set[Unit] = set()
-    for word in stats.words():
-        weighted = stats.weights(word)
-        chosen = [(v, w) for v, w in weighted if w >= min_weight] or weighted[:1]
-        total = sum(w for _, w in chosen)
-        kept[word] = [(v, w / total) for v, w in chosen]
-        for v, _ in chosen:
-            units.update(v)
-    vocab = _vocab_with_chars(units, kept)
-    return _table_from_kept(kept, vocab), vocab
+    return _prune(stats, 1, min_weight)
 
 
 def merge_subwords(table: SegTable) -> tuple[SegTable, Vocabulary]:
@@ -279,8 +267,16 @@ def finalize(stats: VariantStats, min_count: int,
              min_weight: float) -> tuple[SegTable, Vocabulary]:
     """Last refinement: words rarer than ``min_count`` keep only their best
     variant; everything else passes through the weight floor."""
+    return _prune(stats, min_count, min_weight)
+
+
+def _prune(stats: VariantStats, min_count: int,
+           min_weight: float) -> tuple[SegTable, Vocabulary]:
+    """Words rarer than ``min_count`` keep their best variant, the others the
+    variants at or above ``min_weight`` (at least the best); the weights are
+    renormalized and the vocabulary is rebuilt from what survives."""
     if not len(stats):
-        raise ValueError("no alignment statistics to finalize")
+        raise ValueError("no alignment statistics")
     kept: dict[str, list[tuple[UnitSeq, float]]] = {}
     units: set[Unit] = set()
     for word in stats.words():

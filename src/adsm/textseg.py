@@ -116,6 +116,9 @@ class SubwordNgramLM:
                                           path=path, line=lineno)
                     rows.append((lineno, *parts[1:]))
                 elif len(parts) == 2:
+                    if parts[0] not in ("order", "add_k", "events") or parts[0] in meta:
+                        raise FormatError(f"unknown or repeated metadata key {parts[0]!r}",
+                                          path=path, line=lineno)
                     meta[parts[0]] = parts[1]
                 else:
                     raise FormatError("unrecognized line", path=path, line=lineno)
@@ -141,6 +144,9 @@ class SubwordNgramLM:
             if len(h) != lm.order - 1 or not all(t == BOS or t in units for t in h):
                 raise FormatError(f"history {hs!r} is not {lm.order - 1} start "
                                   "symbols or units", path=path, line=lineno)
+            if event in lm.counts.get(h, ()):
+                raise FormatError(f"repeated row for history {hs!r} and event {event!r}",
+                                  path=path, line=lineno)
             lm.add(h, event, count)
         return lm
 

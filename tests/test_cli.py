@@ -1,11 +1,14 @@
 import io
 import sys
+import types
 
 import numpy as np
 import pytest
 
+from adsm import cli
 from adsm.cli import main
-from adsm.encoder import init_params, load_params, save_params
+from adsm.encoder import TrainConfig, init_params, load_params, save_params
+from adsm.pipeline import PipelineConfig
 from adsm.textseg import detokenize
 from adsm.vocab import SegTable, Vocabulary
 
@@ -137,6 +140,18 @@ def test_run_subcommand(datadir, tmp_path, capsys):
     for name in ("vocab.tsv", "segtable.tsv", "params.txt", "targets.tsv",
                  "metrics.tsv"):
         assert (outdir / name).exists()
+
+
+def test_defaults_are_the_dataclass_defaults(datadir, monkeypatch):
+    parser = cli.build_parser()
+    assert cli._train_config(cli._Args(parser.parse_args(["train"]))) == TrainConfig()
+    seen = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda corp, entries, config, outdir:
+                        seen.append(config) or types.SimpleNamespace(metrics=[]))
+    d = str(datadir)
+    assert main(["run", "--g2p", f"{d}/g2p.tsv", "--features", f"{d}/features.tsv",
+                 "--transcripts", f"{d}/transcripts.tsv", "--outdir", "unused"]) == 0
+    assert seen == [PipelineConfig()]
 
 
 def test_segment_text_stdin_stdout(tmp_path, capsys, monkeypatch):

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from adsm.encoder import (EncoderParams, TrainConfig, encode, flatten_params,
+from adsm import encoder
+from adsm.encoder import (CHUNK, EncoderParams, TrainConfig, encode, flatten_params,
                           init_params, load_params, resize_output, save_params,
                           set_flat_params, set_subsample, subsampled_length,
                           train, utterance_grads)
-from adsm.ctc import log_loss
+from adsm.ctc import batch_log_loss, log_loss
 from adsm.errors import FormatError, NumericalError
-from adsm.lattice import build_word_dag_implicit, ctc_expand, lattice_from_dag
+from adsm.lattice import (build_word_dag_implicit, concat_utterance, ctc_expand,
+                          lattice_from_dag)
 from adsm.vocab import Vocabulary
 from conftest import chars_vocab
 
@@ -265,3 +267,99 @@ def test_params_load_rejects_non_finite_values_and_bad_array_lines(tmp_path):
         path.write_text("\n".join(edited) + "\n")
         with pytest.raises(FormatError, match="array"):
             load_params(path)
+
+
+def mixed_items(rng, n, factor, dim=3):
+    """Utterances of 1-3 words over a vocabulary with multi-letter units, so
+    lattices have several paths; lengths are mixed, odd ones included."""
+    vocab = Vocabulary.from_units(
+        [(c, e) for c in "abc" for e in (False, True)]
+        + [("ab", False), ("ab", True), ("bc", True), ("ca", False)])
+    items = []
+    for _ in range(n):
+        words = rng.choice(["a", "ab", "abc", "cab", "bca"], size=int(rng.integers(1, 4)))
+        lat = concat_utterance([build_word_dag_implicit(w, vocab) for w in words])
+        graph = ctc_expand(lat, vocab)
+        T = graph.min_frames * factor + int(rng.integers(0, 6))
+        items.append((rng.standard_normal((T, dim)), graph))
+    return vocab, items
+
+
+def arrays_close(got, want, rel=1e-12):
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= rel * np.abs(w).max()
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4])
+@pytest.mark.parametrize("radii", [(0,), (1,), (1, 0), (0, 1)])
+def test_batched_step_equals_per_utterance_calls(factor, radii):
+    rng = np.random.default_rng(factor * 10 + len(radii) + sum(radii))
+    vocab, items = mixed_items(rng, 11, factor)
+    hidden = (6,) if len(radii) == 1 else (6, 5)
+    p = init_params(3, hidden, vocab.num_classes, factor, radii, seed=2)
+    for batch in (items, items[:1], items[3:5]):
+        xs, graphs = zip(*batch)
+        with np.errstate(all="raise"):
+            logp, lengths, _ = encoder._forward(*encoder._pad(xs, p), p)
+            losses, occ = batch_log_loss(graphs, logp, lengths)
+            step_losses, step_grads = encoder._batch_step(batch, p)
+            hold_losses, none = encoder._batch_step(batch, p, grads=False)
+            singles = [utterance_grads(x, g, p) for x, g in batch]
+        assert none is None
+        assert lengths.tolist() == [subsampled_length(len(x), factor) for x in xs]
+        for b, (x, g) in enumerate(batch):
+            n = lengths[b]
+            want_loss, want_occ = log_loss(g, encode(x, p))
+            np.testing.assert_array_equal(logp[b, :n], encode(x, p))
+            np.testing.assert_array_equal(occ[b, :n], want_occ)
+            assert not occ[b, n:].any()
+            assert losses[b] == step_losses[b] == hold_losses[b] == want_loss == singles[b][0]
+        arrays_close(step_grads, [sum(gs) for gs in zip(*(g for _, g in singles))])
+
+
+def reference_first_epoch(data, params, config):
+    """train's first epoch with full-batch gradients summed utterance by
+    utterance: (training loss, holdout loss, updated parameters)."""
+    order = np.random.default_rng(config.seed).permutation(len(data))
+    n_hold = int(round(config.holdout_fraction * len(data)))
+    hold = [data[i] for i in order[:n_hold]]
+    trainset = [data[i] for i in order[n_hold:]]
+    results = [utterance_grads(x, g, params) for x, g in trainset]
+    grads = [sum(gs) for gs in zip(*(g for _, g in results))]
+    scale = 1.0 / len(trainset)
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads)) * scale
+    if norm > config.clip:
+        scale *= config.clip / norm
+    for a, g in zip(params.arrays(), grads):
+        a -= config.learning_rate * scale * g
+    hold_loss = float(np.mean([log_loss(g, encode(x, params))[0] for x, g in hold]))
+    return float(np.mean([loss for loss, _ in results])), hold_loss, params
+
+
+def test_full_batch_training_spans_several_chunks():
+    rng = np.random.default_rng(31)
+    vocab, data = mixed_items(rng, 3 * CHUNK + 5, 2)
+    config = TrainConfig(learning_rate=0.5, epochs=1, batch_size=0, seed=3,
+                         holdout_fraction=0.4)
+    p = init_params(3, (6,), vocab.num_classes, 2, (1,), seed=8)
+    train_loss, hold_loss, want = reference_first_epoch(
+        data, init_params(3, (6,), vocab.num_classes, 2, (1,), seed=8), config)
+    with np.errstate(all="raise"):
+        result = train(data, p, config)
+    assert result.curve[0][0] == train_loss
+    assert result.curve[0][1] == pytest.approx(hold_loss, rel=1e-12)
+    arrays_close(p.arrays(), want.arrays())
+
+
+def test_overflowing_checkpoint_fails_at_the_first_batch(monkeypatch):
+    rng = np.random.default_rng(5)
+    vocab, data = mixed_items(rng, 2 * CHUNK, 2)
+    p = init_params(3, (6,), vocab.num_classes, 2, (0,), seed=0)
+    p.out_w[:] = 1e308          # finite, but the output scores overflow
+    calls = []
+    forward = encoder._forward
+    monkeypatch.setattr(encoder, "_forward", lambda *a: calls.append(1) or forward(*a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            train(data, p, TrainConfig(epochs=1, batch_size=0))
+    assert len(calls) == 1

@@ -137,6 +137,26 @@ def test_lm_load_rejects_malformed_ngrams(tmp_path, row, message):
     assert err.value.line == 6
 
 
+def test_lm_load_rejects_repeated_ngram_rows(tmp_path):
+    path = tmp_path / "lm.tsv"
+    path.write_text("#adsm-lm-v1\norder\t2\nadd_k\t0.5\nevents\ta b_ </s>\n"
+                    "ngram\t<s>\tb_\t1.0\nngram\ta\tb_\t2.0\nngram\t<s>\tb_\t1.0\n",
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match="repeated row") as err:
+        SubwordNgramLM.load(path)
+    assert err.value.line == 7
+
+
+@pytest.mark.parametrize("key", ["ordr\t7", "order\t3"])
+def test_lm_load_rejects_unknown_and_repeated_metadata(tmp_path, key):
+    path = tmp_path / "lm.tsv"
+    path.write_text("#adsm-lm-v1\norder\t2\nadd_k\t0.5\nevents\ta b_ </s>\n"
+                    f"{key}\nngram\ta\tb_\t2.0\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="metadata key") as err:
+        SubwordNgramLM.load(path)
+    assert err.value.line == 5
+
+
 @pytest.mark.parametrize("add_k", ["nan", "inf", "0", "-1"])
 def test_lm_load_rejects_bad_smoothing_constant(tmp_path, add_k):
     path = tmp_path / "lm.tsv"
