@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, OSError, ValueError, KeyError) as exc:
+    except (FormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

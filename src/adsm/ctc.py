@@ -90,7 +90,10 @@ def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np
 
 def _block_table(tables: Sequence[np.ndarray], offsets: np.ndarray) -> np.ndarray:
     """Block-diagonal union of padded neighbour tables: graph b's states move
-    to ``offsets[b]:offsets[b + 1]``, and every pad reads the shared sentinel."""
+    to ``offsets[b]:offsets[b + 1]``, and every pad reads the shared sentinel.
+    A single table is its own union."""
+    if len(tables) == 1:
+        return tables[0]
     S = offsets[-1]
     out = np.full((max(t.shape[0] for t in tables), S), S, dtype=np.intp)
     for t, lo, hi in zip(tables, offsets[:-1], offsets[1:]):
@@ -159,41 +162,86 @@ def log_loss(graph: CtcGraph, logp: np.ndarray,
     return losses[0].item(), None if occ is None else occ[0]
 
 
-def _trace(graph: CtcGraph, scores: np.ndarray, reduce, pick) -> Alignment:
-    """Sweep forward with ``reduce``, then walk back from the last frame:
-    ``pick`` chooses a final state by its score, then each earlier state
-    among the predecessors of the later one."""
-    T = scores.shape[0]
-    _check_feasible(graph, T)
-    emit = np.full((T, graph.n_states + 1), -np.inf)    # with the sentinel's slot
-    emit[:, :-1] = scores[:, graph.labels]
-    score = _sweep(graph.pred, graph.initial, emit, reduce) + emit
-    finals = graph.final
-    if not np.isfinite(score[T - 1, finals].max()):
+def _trace(graphs: Sequence[CtcGraph], scores: Sequence[np.ndarray], reduce,
+           pick) -> list[Alignment]:
+    """Sweep forward with ``reduce`` over the graphs stacked block-diagonally,
+    each block's emissions taken from its own (T_b, C) ``scores`` and -inf
+    after them, then walk all B paths back together, each from its own last
+    frame.  ``pick`` maps a (k, B) array of candidate scores to one row index
+    per column: first a final state, then, once per frame, each path's
+    earlier state among the predecessors of its later one."""
+    lengths = [len(s) for s in scores]
+    for graph, n in zip(graphs, lengths):
+        _check_feasible(graph, n)
+    B, T = len(graphs), max(lengths)
+    offsets = [0, *itertools.accumulate(g.n_states for g in graphs)]
+    emit = np.full((T, offsets[-1] + 1), -np.inf)      # with the sentinel's slot
+    finals = np.full((max(len(g.final) for g in graphs), B), offsets[-1])
+    for b, (graph, s, lo, hi) in enumerate(zip(graphs, scores, offsets, offsets[1:])):
+        emit[: len(s), lo:hi] = s[:, graph.labels]
+        finals[: len(graph.final), b] = graph.final + lo
+    table = _block_table([g.pred for g in graphs], offsets)
+    first = np.concatenate([g.initial + o for g, o in zip(graphs, offsets)])
+    score = _sweep(table, first, emit, reduce)
+    score += emit
+    last, cols = np.subtract(lengths, 1), np.arange(B)
+    ends = score[last, finals]
+    if (ends.max(0) == -np.inf).any():
         raise InfeasibleUtteranceError("no accepted path of this length")
-    states = [int(finals[pick(score[T - 1, finals])])]
-    for t in range(T - 1, 0, -1):
-        preds = graph.pred[:, states[-1]]
-        states.append(int(preds[pick(score[t - 1, preds])]))
-    states.reverse()
-    return _alignment_from_states(graph, states)
+    path = np.empty((T, B), dtype=np.intp)      # path[k, b]: state at frame last[b] - k
+    path[0] = cur = finals[pick(ends), cols]
+    for k in range(1, T):
+        # A path already at its frame 0 reads a wrapped-around row; as every
+        # state is its own predecessor, each list starts with a real state,
+        # so it still picks real states, which are never read.
+        preds = table[:, cur]
+        path[k] = cur = preds[pick(score[last - k, preds]), cols]
+    return [_alignment_from_states(graph, path[n - 1 :: -1, b] - lo)
+            for b, (graph, n, lo) in enumerate(zip(graphs, lengths, offsets))]
 
 
-def _alignment_from_states(graph: CtcGraph, states: Sequence[int]) -> Alignment:
-    frame_labels = tuple(int(graph.labels[s]) for s in states)
+def _alignment_from_states(graph: CtcGraph, states: np.ndarray) -> Alignment:
+    labels = graph.labels[states].tolist()
+    states = states.tolist()
     collapsed = []
     spans = []
     prev = None
-    for t, s in enumerate(states):
-        if s != prev:
-            if graph.labels[s] != graph.blank:
-                collapsed.append(int(graph.labels[s]))
+    for t, (s, y) in enumerate(zip(states, labels)):
+        if y != graph.blank:
+            if s != prev:
+                collapsed.append(y)
                 spans.append([t, t])
-        elif graph.labels[s] != graph.blank:
-            spans[-1][1] = t
+            else:
+                spans[-1][1] = t
         prev = s
-    return Alignment(frame_labels, tuple(int(s) for s in states),
-                     tuple(collapsed), tuple((a, b) for a, b in spans))
+    return Alignment(tuple(labels), tuple(states), tuple(collapsed),
+                     tuple((a, b) for a, b in spans))
+
+
+def _first_max(x: np.ndarray) -> np.ndarray:
+    """Row of each column's maximum; ties go to the first row."""
+    return x.argmax(axis=0)
+
+
+def batch_viterbi(graphs: Sequence[CtcGraph], posteriors: Sequence[np.ndarray],
+                  prior: np.ndarray | None = None,
+                  prior_scale: float = 0.0) -> list[Alignment]:
+    """:func:`viterbi` of B utterances in one max sweep over their graphs
+    stacked block-diagonally and one backtrace of all B paths.  Each
+    ``posteriors[b]`` is that utterance's own unpadded (T_b, C) matrix; every
+    path is state for state that of a separate call."""
+    posteriors = [_check_posteriors(logp) for logp in posteriors]
+    if not 0.0 <= prior_scale <= 1.0:
+        raise ValueError("prior scale must lie in [0, 1]")
+    if prior_scale > 0.0:
+        if prior is None:
+            raise ValueError("prior_scale > 0 requires a prior")
+        prior = np.asarray(prior, dtype=np.float64)
+        if any(prior.shape != (logp.shape[1],) for logp in posteriors):
+            raise ValueError("prior shape does not match class count")
+        shift = prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
+        posteriors = [logp - shift for logp in posteriors]
+    return _trace(graphs, posteriors, _max, _first_max)
 
 
 def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
@@ -203,20 +251,9 @@ def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
     Maximizes sum_t ( logp[t, y_t] - prior_scale * log q[y_t] ); the prior is
     floored at 1e-10 before the division so unseen classes stay finite.  Ties
     resolve to the smallest predecessor state id, making alignments
-    bit-reproducible.
+    bit-reproducible.  The B = 1 call of :func:`batch_viterbi`.
     """
-    logp = _check_posteriors(logp)
-    if not 0.0 <= prior_scale <= 1.0:
-        raise ValueError("prior scale must lie in [0, 1]")
-    scores = logp
-    if prior_scale > 0.0:
-        if prior is None:
-            raise ValueError("prior_scale > 0 requires a prior")
-        prior = np.asarray(prior, dtype=np.float64)
-        if prior.shape != (logp.shape[1],):
-            raise ValueError("prior shape does not match class count")
-        scores = logp - prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
-    return _trace(graph, scores, _max, np.argmax)
+    return batch_viterbi([graph], [logp], prior, prior_scale)[0]
 
 
 def estimate_prior(posteriors: Iterable[np.ndarray], num_classes: int) -> np.ndarray:
@@ -245,13 +282,14 @@ def sample_path(graph: CtcGraph, logp: np.ndarray, temperature: float = 1.0,
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return _trace(graph, logp / temperature, logsumexp, lambda logw: _draw(logw, rng))
+    return _trace([graph], [logp / temperature], logsumexp,
+                  lambda logw: [_draw(logw[:, 0], rng)])[0]
 
 
 def _draw(logw: np.ndarray, rng: np.random.Generator) -> int:
     """Index drawn with weight exp(logw); -inf entries are never drawn."""
-    w = np.cumsum(np.exp(logw - logw.max()))
-    return int(np.searchsorted(w, rng.random() * w[-1], side="right"))
+    w = np.exp(logw - logw.max()).cumsum()
+    return int(w.searchsorted(rng.random() * w[-1], side="right"))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import corpus as corpus_io
-from .ctc import estimate_prior, viterbi
-from .encoder import (EncoderParams, TrainConfig, encode, init_params,
+from .ctc import batch_viterbi, estimate_prior
+from .encoder import (CHUNK, EncoderParams, TrainConfig, encode, init_params,
                       resize_output, save_params, set_subsample,
                       subsampled_length, train)
 from .errors import FormatError
@@ -171,8 +171,13 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
 
     The label prior is estimated from this model's posteriors over the very
     utterances being aligned, then flattens the scores as
-    ``logp - prior_scale * log q``.  Returns (alignments, stats, skipped).
+    ``logp - prior_scale * log q``.  The feasible utterances are aligned in
+    dataset order, ``CHUNK`` at a time by :func:`batch_viterbi`.  Returns
+    (alignments, stats, skipped).
     """
+    if params.num_classes != vocab.num_classes:
+        raise ValueError(f"the encoder has {params.num_classes} classes, "
+                         f"the vocabulary {vocab.num_classes}")
     posteriors = []
     feasible = []
     skipped = 0
@@ -192,22 +197,25 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
 
     stats = VariantStats()
     aligned = []
-    for (i, feats, lat, graph), logp in zip(feasible, posteriors):
-        ali = viterbi(graph, logp, prior, prior_scale)
-        per_word: dict[int, list[int]] = {}
-        for state in dict.fromkeys(ali.frame_states):
-            arc = int(graph.state_arc[state])
-            if arc < 0:
-                continue
-            per_word.setdefault(int(graph.state_word[state]), []).append(arc)
-        word_variants = []
-        for w, word in enumerate(lat.words):
-            uids = [lat.arcs[a][2] for a in per_word[w]]
-            variant = tuple(vocab.unit(u) for u in uids)
-            stats.add(word, variant)
-            word_variants.append((word, variant))
-        utt_id = getattr(feats, "utt_id", str(i))
-        aligned.append(AlignedUtt(i, utt_id, tuple(word_variants)))
+    for lo in range(0, len(feasible), CHUNK):
+        chunk = feasible[lo : lo + CHUNK]
+        alignments = batch_viterbi([graph for *_, graph in chunk],
+                                   posteriors[lo : lo + CHUNK], prior, prior_scale)
+        for (i, feats, lat, graph), ali in zip(chunk, alignments):
+            per_word: dict[int, list[int]] = {}
+            for state in dict.fromkeys(ali.frame_states):
+                arc = int(graph.state_arc[state])
+                if arc < 0:
+                    continue
+                per_word.setdefault(int(graph.state_word[state]), []).append(arc)
+            word_variants = []
+            for w, word in enumerate(lat.words):
+                uids = [lat.arcs[a][2] for a in per_word[w]]
+                variant = tuple(vocab.unit(u) for u in uids)
+                stats.add(word, variant)
+                word_variants.append((word, variant))
+            utt_id = getattr(feats, "utt_id", str(i))
+            aligned.append(AlignedUtt(i, utt_id, tuple(word_variants)))
     return aligned, stats, skipped
 
 

@@ -182,7 +182,10 @@ def _segment_dp(word: str, vocab: Vocabulary, lm: SubwordNgramLM):
             piece = word[i:j]
             unit = (piece, j == L)
             if unit in vocab:
-                spans[i].append((j, unit, marked(unit)))
+                tok = marked(unit)
+                if tok not in lm._event_set:
+                    raise ValueError(f"unit {tok!r} of the vocabulary is not an event of the LM")
+                spans[i].append((j, unit, tok))
     best: dict[tuple[int, tuple[str, ...]], tuple[float, int, tuple[str, ...], tuple[Unit, ...]]] = {}
     best[(0, lm._history(()))] = (0.0, 0, (), ())
     done = None
@@ -214,6 +217,23 @@ def _better(a, b) -> bool:
     return a[2] < b[2]
 
 
+def _variant_cdf(table: SegTable, word: str):
+    """A seen word's variants as unit tuples, and the cumulative distribution
+    of their weights."""
+    variants = table.unit_variants(word)
+    weights = np.array([w for _, w in variants])
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return [units for units, _ in variants], cdf
+
+
+def _draw_variant(variants: list, cdf: np.ndarray, rng: np.random.Generator):
+    """The draw Generator.choice(len(variants), p=p) makes, without its
+    per-call checks of p (the SegTable constructor enforces weights in (0, 1]
+    summing to 1): same pick, same generator state afterwards."""
+    return variants[int(cdf.searchsorted(rng.random(), side="right"))]
+
+
 def segment_word(word: str, table: SegTable, lm: SubwordNgramLM,
                  mode: str = "best",
                  rng: np.random.Generator | int | None = None) -> tuple[Unit, ...]:
@@ -228,15 +248,7 @@ def segment_word(word: str, table: SegTable, lm: SubwordNgramLM,
     if word in table:
         if mode == "best":
             return tuple(table.vocab.unit(i) for i in table.best_variant(word))
-        rng = np.random.default_rng(rng)
-        variants = table.unit_variants(word)
-        weights = np.array([w for _, w in variants])
-        # The draw Generator.choice(len(variants), p=p) makes, without its
-        # per-call checks of p (the SegTable constructor enforces weights in
-        # (0, 1] summing to 1): same pick, same generator state afterwards.
-        cdf = (weights / weights.sum()).cumsum()
-        cdf /= cdf[-1]
-        return variants[int(cdf.searchsorted(rng.random(), side="right"))][0]
+        return _draw_variant(*_variant_cdf(table, word), np.random.default_rng(rng))
     result = _segment_dp(word, table.vocab, lm)
     if result is None:
         missing = sorted({ch for ch in word if (ch, True) not in table.vocab
@@ -253,21 +265,28 @@ def segment_corpus(lines, table: SegTable, lm: SubwordNgramLM,
     mapping invertible.
 
     A segmentation that draws nothing (every word in ``best`` mode, unseen
-    words in ``sample`` mode) is computed once per distinct word.  Unseen
-    words never consume the generator, so the sampled lines are the same as
-    segmenting every occurrence with :func:`segment_word`.
+    words in ``sample`` mode) is computed once per distinct word, and so are
+    the variants and weight distribution a seen word is drawn from in
+    ``sample`` mode.  Each occurrence of a seen word takes one draw and unseen
+    words none, so the sampled lines are the same as segmenting every
+    occurrence with :func:`segment_word`.
     """
     rng = np.random.default_rng(seed)
     fixed: dict[str, list[str]] = {}
+    drawn: dict[str, tuple[list[list[str]], np.ndarray]] = {}
     out = []
     for line in lines:
         tokens: list[str] = []
         for word in line.split():
             toks = fixed.get(word)
-            if toks is None:
+            if toks is None and mode == "sample" and word in table:
+                if word not in drawn:
+                    variants, cdf = _variant_cdf(table, word)
+                    drawn[word] = [[marked(u) for u in units] for units in variants], cdf
+                toks = _draw_variant(*drawn[word], rng)
+            elif toks is None:
                 toks = [marked(u) for u in segment_word(word, table, lm, mode, rng)]
-                if mode == "best" or word not in table:
-                    fixed[word] = toks
+                fixed[word] = toks
             tokens.extend(toks)
         out.append(" ".join(tokens))
     return out

@@ -224,6 +224,8 @@ class SegTable:
     def variants(self, word: str) -> list[Variant]:
         if self.mode is not SegMode.EXPLICIT:
             raise ValueError("implicit tables do not enumerate variants; build a lattice instead")
+        if word not in self.entries:
+            raise ValueError(f"word {word!r} is not in the segmentation table")
         return self.entries[word]
 
     def unit_variants(self, word: str) -> list[tuple[tuple[Unit, ...], float]]:

@@ -47,3 +47,39 @@ def ctc_loss_single(logp: np.ndarray, labels, blank: int) -> float:
     if total == NEG_INF:
         raise ValueError("no feasible alignment for %d labels in %d frames" % (L, T))
     return -float(total)
+
+
+def viterbi_states(graph, scores: np.ndarray) -> tuple[int, ...]:
+    """Best accepted state path of a frame-transition graph under per-frame
+    class ``scores``, by the textbook recursion with back-pointers kept for
+    every frame and state.  Ties go to the smallest predecessor state id, and
+    at the last frame to the earliest of ``graph.final``."""
+    T, n = scores.shape[0], graph.n_states
+    preds = [[] for _ in range(n)]
+    for p, s in graph.transitions():
+        preds[s].append(p)
+    emit = [[float(scores[t, graph.labels[s]]) for s in range(n)] for t in range(T)]
+    delta = [NEG_INF] * n
+    for s in graph.initial:
+        delta[s] = emit[0][s]
+    back = []
+    for t in range(1, T):
+        ptr, new = [0] * n, [NEG_INF] * n
+        for s in range(n):
+            best = min(preds[s])
+            for p in sorted(preds[s]):
+                if delta[p] > delta[best]:
+                    best = p
+            ptr[s], new[s] = best, delta[best] + emit[t][s]
+        back.append(ptr)
+        delta = new
+    state = int(graph.final[0])
+    for s in graph.final:
+        if delta[s] > delta[state]:
+            state = int(s)
+    if delta[state] == NEG_INF:
+        raise ValueError("no accepted path of this length")
+    path = [state]
+    for ptr in reversed(back):
+        path.append(ptr[path[-1]])
+    return tuple(reversed(path))

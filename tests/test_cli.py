@@ -9,7 +9,7 @@ from adsm import cli
 from adsm.cli import main
 from adsm.encoder import TrainConfig, init_params, load_params, save_params
 from adsm.pipeline import PipelineConfig
-from adsm.textseg import detokenize
+from adsm.textseg import EOS, SubwordNgramLM, detokenize
 from adsm.vocab import SegTable, Vocabulary
 
 LEXICON = "ab\tab\ncd\tcd\nabcd\tab cd\ncdab\tcd ab\n"
@@ -172,6 +172,51 @@ def test_segment_text_stdin_stdout(tmp_path, capsys, monkeypatch):
     assert [detokenize(s) for s in lines] == ["ab cd"]
 
 
+
+def _ab_cd_table(tmp_path):
+    vocab = Vocabulary.from_units(
+        [("a", False), ("a", True), ("b", False), ("b", True),
+         ("c", False), ("c", True), ("d", False), ("d", True),
+         ("ab", True), ("cd", True)])
+    table = SegTable.explicit({"ab": [((vocab.id("ab", True),), 1.0)]}, vocab)
+    vpath, tpath = str(tmp_path / "vocab.tsv"), str(tmp_path / "table.tsv")
+    vocab.save(vpath)
+    table.save(tpath)
+    return vpath, tpath
+
+
+def test_word_missing_from_the_table_exits_2(datadir, tmp_path, capsys):
+    d = str(datadir)
+    vpath, tpath = _ab_cd_table(tmp_path)
+    rc = main(["train", "--features", f"{d}/features.tsv", "--transcripts",
+               f"{d}/transcripts.tsv", "--vocab", vpath, "--segtable", tpath,
+               "--out-params", str(tmp_path / "params.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "not in the segmentation table" in err
+
+
+def test_lm_missing_a_unit_exits_2(tmp_path, capsys, monkeypatch):
+    vpath, tpath = _ab_cd_table(tmp_path)
+    lm_path = str(tmp_path / "lm.tsv")
+    SubwordNgramLM(order=2, add_k=0.1, events=("a", "b_", EOS)).save(lm_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ab cd\n"))
+    rc = main(["segment-text", "--vocab", vpath, "--segtable", tpath, "--lm", lm_path])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "'c'" in err and "not an event of the LM" in err
+
+
+def test_internal_key_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    def broken(a):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    vpath, tpath = _ab_cd_table(tmp_path)
+    with pytest.raises(KeyError, match="missing"):
+        main(["report", "--vocab", vpath, "--segtable", tpath])
+    assert "input error" not in capsys.readouterr().err
+
 def test_config_file_defaults_and_flag_override(datadir, tmp_path, capsys):
     d = str(datadir)
     vocab0 = str(tmp_path / "vocab0.tsv")
@@ -285,6 +330,22 @@ def test_non_finite_checkpoint_exits_2(datadir, tmp_path, capsys):
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
 
+
+
+def test_checkpoint_of_another_vocabulary_exits_2(datadir, tmp_path, capsys):
+    d = str(datadir)
+    vocab0, table0 = str(tmp_path / "vocab0.tsv"), str(tmp_path / "table0.tsv")
+    assert main(["init", "--g2p", f"{d}/g2p.tsv", "--transcripts",
+                 f"{d}/transcripts.tsv", "--out-vocab", vocab0,
+                 "--out-segtable", table0]) == 0
+    other = str(tmp_path / "other.tsv")
+    save_params(init_params(8, (16,), 5, 2, (0,), seed=0), other)
+    capsys.readouterr()
+    rc = main(["align", "--features", f"{d}/features.tsv", "--transcripts",
+               f"{d}/transcripts.tsv", "--vocab", vocab0, "--segtable", table0,
+               "--params", other, "--out-stats", str(tmp_path / "stats.tsv")])
+    assert rc == 2
+    assert "the encoder has 5 classes" in capsys.readouterr().err
 
 def test_non_positive_stats_count_exits_2(tmp_path, capsys):
     stats = tmp_path / "stats.tsv"

@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from adsm.ctc import (collapse, enumerate_oracle, estimate_prior, log_loss,
-                      logsumexp, sample_path, viterbi)
+from adsm.ctc import (batch_viterbi, collapse, enumerate_oracle, estimate_prior,
+                      log_loss, logsumexp, sample_path, viterbi)
 from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import build_word_dag_explicit, build_word_dag_implicit, \
     concat_utterance, ctc_expand, enumerate_label_paths, lattice_from_dag
 from adsm.vocab import Vocabulary
 from conftest import (chars_vocab, flagged, implicit_instance, random_logp,
                       random_oracle_instance)
-from _reference import ctc_loss_single
+from _reference import ctc_loss_single, viterbi_states
 
 
 def test_collapse():
@@ -267,3 +267,83 @@ def test_dp_raises_no_floating_point_warning():
                 drawn = sample_path(graph, logp, rng=rng)
             assert np.isfinite(loss) and np.all(np.isfinite(occ))
             assert len(ali.frame_states) == len(drawn.frame_states) == T
+
+
+def _viterbi_pool(rng):
+    """Graphs over five classes with posteriors of mixed lengths: T =
+    min_frames and more, one-frame graphs, and integer scores full of exact
+    ties."""
+    vocab = chars_vocab("ab")
+    one = ctc_expand(lattice_from_dag(build_word_dag_implicit("a", vocab)), vocab)
+    assert one.min_frames == 1
+    pool = [(one, random_logp(rng, 1, 5)), (one, np.full((3, 5), math.log(0.2)))]
+    for i in range(34):
+        if i % 3 == 2:
+            lat, vocab, _ = implicit_instance(rng, ("abba", "abab", "aab", "ab")[i % 4])
+        else:
+            lat, vocab, _ = random_oracle_instance(rng)
+        graph = ctc_expand(lat, vocab)
+        T = graph.min_frames + (int(rng.integers(0, 3)) if i % 2 else 0)
+        T += 9 if i % 7 == 3 else 0
+        logp = random_logp(rng, T, vocab.num_classes)
+        if i % 4 == 1:
+            logp = rng.integers(-3, 0, size=logp.shape).astype(np.float64)
+        pool.append((graph, logp))
+    return pool
+
+
+def test_batch_viterbi_equals_per_utterance_reference():
+    rng = np.random.default_rng(137)
+    pool = _viterbi_pool(rng)
+    assert len(pool) > 16
+    prior = rng.dirichlet(np.ones(5))
+    prior[2] = 1e-13                    # below the floor
+    batches = [pool, pool[:5], pool[5:21], pool[21:24], pool[1:2], pool[::-1]]
+    for prior_scale in (0.0, 0.3):
+        for batch in batches:
+            graphs = [g for g, _ in batch]
+            with np.errstate(all="raise"):
+                got = batch_viterbi(graphs, [logp for _, logp in batch], prior, prior_scale)
+                single = [viterbi(g, logp, prior, prior_scale) for g, logp in batch]
+            assert got == single
+            for (graph, logp), ali in zip(batch, got):
+                scores = logp - prior_scale * np.log(np.maximum(prior, 1e-10))
+                assert ali.frame_states == viterbi_states(graph, scores)
+                assert ali.frame_labels == tuple(int(graph.labels[s]) for s in ali.frame_states)
+                runs, t = [], 0
+                for state, frames in itertools.groupby(ali.frame_states):
+                    n = len(list(frames))
+                    if graph.labels[state] != graph.blank:
+                        runs.append((int(graph.labels[state]), (t, t + n - 1)))
+                    t += n
+                assert ali.collapsed == tuple(y for y, _ in runs)
+                assert ali.spans == tuple(span for _, span in runs)
+
+
+def test_batch_viterbi_ties_go_to_smallest_state():
+    # uniform scores tie every accepted path of "a"; states are blank0 = 0,
+    # blank1 = 1 and the label state 2, so the smallest ids win at each step
+    vocab = Vocabulary.from_units([("a", True)])
+    graph = ctc_expand(lattice_from_dag(build_word_dag_implicit("a", vocab)), vocab)
+    uniform = np.full((2, 2), math.log(0.5))
+    rng = np.random.default_rng(139)
+    others = [random_logp(rng, T, 2) for T in (1, 4, 7)]
+    prior = np.full(2, 0.5)
+    for prior_scale in (0.0, 0.3):
+        for at in range(4):
+            posteriors = others[:at] + [uniform] + others[at:]
+            with np.errstate(all="raise"):
+                got = batch_viterbi([graph] * 4, posteriors, prior, prior_scale)
+            assert got[at].frame_states == (2, 1)
+            for logp, ali in zip(posteriors, got):
+                scores = logp - prior_scale * np.log(prior)
+                assert ali.frame_states == viterbi_states(graph, scores)
+
+
+def test_batch_viterbi_infeasible_member_raises():
+    rng = np.random.default_rng(149)
+    pool = _viterbi_pool(rng)[2:8]
+    graph, logp = pool[3]
+    pool[3] = (graph, logp[: graph.min_frames - 1])
+    with pytest.raises(InfeasibleUtteranceError):
+        batch_viterbi([g for g, _ in pool], [lp for _, lp in pool])

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from adsm.corpus import SyntheticSpec, g2p_entries_for, gen_synthetic, read_targets
-from adsm.encoder import TrainConfig, init_params, train
+from adsm.corpus import (FeatureMatrix, SyntheticSpec, g2p_entries_for, gen_synthetic,
+                         read_targets)
+from adsm.ctc import estimate_prior
+from adsm.encoder import CHUNK, TrainConfig, encode, init_params, subsampled_length, train
 from adsm.errors import FormatError
 from adsm.lexicon import build_initial_vocab, make_initial_segtable
 from adsm.pipeline import (AlignedUtt, PipelineConfig, VariantStats,
                            align_corpus, build_dataset, finalize, make_targets,
                            merge_subwords, refine, run_pipeline,
                            utterance_lattice)
-from adsm.lattice import enumerate_label_paths
+from adsm.lattice import ctc_expand, enumerate_label_paths
 from adsm.vocab import SegTable, Vocabulary, marked
+from _reference import viterbi_states
 
 
 def test_pipeline_config_validation():
@@ -130,6 +133,58 @@ def test_align_corpus_buckets_by_word():
             assert variant[-1][1] and not any(e for _, e in variant[:-1])
     assert set(stats.words()) == set(corp.words())
     assert sum(stats.word_total.values()) == sum(len(u.words) for u in corp)
+
+
+
+def _align_one_by_one(params, dataset, prior_scale, vocab):
+    """align_corpus's contract, one utterance at a time through the textbook
+    Viterbi recursion."""
+    feasible, skipped = [], 0
+    for i, (feats, lat) in enumerate(dataset):
+        graph = ctc_expand(lat, vocab)
+        if subsampled_length(feats.values.shape[0], params.subsample_factor) < graph.min_frames:
+            skipped += 1
+        else:
+            feasible.append((i, feats, lat, graph, encode(feats.values, params)))
+    prior = estimate_prior([logp for *_, logp in feasible], params.num_classes)
+    stats, aligned = VariantStats(), []
+    for i, feats, lat, graph, logp in feasible:
+        states = viterbi_states(graph, logp - prior_scale * np.log(np.maximum(prior, 1e-10)))
+        arcs = [[] for _ in lat.words]
+        for state in dict.fromkeys(states):
+            if graph.state_arc[state] >= 0:
+                arcs[graph.state_word[state]].append(graph.state_arc[state])
+        variants = []
+        for word, word_arcs in zip(lat.words, arcs):
+            variant = tuple(vocab.unit(lat.arcs[a][2]) for a in word_arcs)
+            stats.add(word, variant)
+            variants.append((word, variant))
+        aligned.append(AlignedUtt(i, feats.utt_id, tuple(variants)))
+    return aligned, stats, skipped
+
+
+def test_align_corpus_in_chunks_equals_one_by_one():
+    # Every unit spans 4 frames, so at subsample 2 an utterance has twice its
+    # lattice's minimal length; cut to half that, it has exactly the minimal
+    # length, and two frames fewer make it infeasible.
+    (corp, _), entries = mini_corpus(n=37, seed=3)
+    vocab = build_initial_vocab(entries, corp.words())
+    table = make_initial_segtable(corp.words(), vocab)
+    params = init_params(6, (16,), vocab.num_classes, 2, (1,), 2)
+    dataset = []
+    for i, (feats, lat) in enumerate(build_dataset(corp, vocab, table)):
+        keep = {2: len(feats.values) // 2 - 2, 4: len(feats.values) // 2}.get(i % 5)
+        dataset.append((FeatureMatrix(feats.utt_id, feats.values[:keep]), lat))
+    graphs = [ctc_expand(lat, vocab) for _, lat in dataset]
+    for prior_scale in (0.0, 0.3):
+        want_aligned, want_stats, want_skipped = _align_one_by_one(params, dataset,
+                                                                   prior_scale, vocab)
+        assert want_skipped == 7 and len(want_aligned) == 30 > CHUNK
+        for given in (None, graphs):
+            aligned, stats, skipped = align_corpus(params, dataset, prior_scale, vocab, given)
+            assert aligned == want_aligned
+            assert stats.counts == want_stats.counts
+            assert skipped == want_skipped
 
 
 def test_refine_filters_and_renormalizes():

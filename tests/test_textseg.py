@@ -337,6 +337,29 @@ def test_segment_corpus_runs_the_dp_once_per_unseen_word(monkeypatch):
     assert len(calls) == len(unseen)
 
 
+
+def test_segment_corpus_builds_each_seen_words_draw_once(monkeypatch):
+    table = small_table()
+    lm = train_lm(table)
+    calls = []
+    build = textseg._variant_cdf
+
+    def counting(table, word):
+        calls.append(word)
+        return build(table, word)
+
+    monkeypatch.setattr(textseg, "_variant_cdf", counting)
+    seen = {w for line in REPEATS for w in line.split() if w in table}
+    assert sum(w in seen for line in REPEATS for w in line.split()) > len(seen)
+    segment_corpus(REPEATS, table, lm, mode="sample", seed=1)
+    assert sorted(calls) == sorted(seen)
+    calls.clear()
+    segment_corpus(REPEATS, table, lm, mode="sample", seed=2)   # a new call starts afresh
+    assert sorted(calls) == sorted(seen)
+    calls.clear()
+    segment_corpus(REPEATS, table, lm, mode="best", seed=1)
+    assert calls == []
+
 def test_sampling_draw_matches_generator_choice():
     rng = np.random.default_rng(17)
     word = "abcd"
