@@ -11,13 +11,18 @@ segmentation set of a word is "every split over the vocabulary".
 """
 
 import os
+import sys
 import tempfile
 
-from adsm.lattice import build_word_dag_implicit, enumerate_label_paths
+from adsm.lattice import build_word_dag_implicit
 from adsm.lexicon import (build_initial_vocab, make_initial_segtable,
                           merge_null_chunks, parse_g2p, prepare_entries)
 from adsm.corpus import metrics_for
 from adsm.vocab import marked
+
+# Listing every path of a DAG is test code; it lives beside the tests.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from _reference import enumerate_label_paths  # noqa: E402
 
 # A tiny lexicon in the g}p pair notation: the left side of each pair is a
 # grapheme chunk, the right side the phoneme it aligned to, with "_" for

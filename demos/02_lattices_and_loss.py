@@ -9,13 +9,19 @@ On graphs small enough to enumerate, the dynamic program must agree with
 brute force, and that is checked here side by side.
 """
 
+import os
+import sys
+
 import numpy as np
 
-from adsm.ctc import enumerate_oracle, log_loss, sample_path, viterbi
+from adsm.ctc import log_loss, sample_path, viterbi
 from adsm.lattice import (build_word_dag_explicit, build_word_dag_implicit,
-                          concat_utterance, ctc_expand, enumerate_label_paths,
-                          path_length_stats)
+                          concat_utterance, ctc_expand, path_length_stats)
 from adsm.vocab import Vocabulary, marked
+
+# The brute-force oracles are test code; they live beside the tests.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from _reference import enumerate_label_paths, enumerate_oracle  # noqa: E402
 
 rng = np.random.default_rng(7)
 

@@ -4,21 +4,18 @@ All quantities live in log space.  Forward, backward, Viterbi and sampling
 share one frame loop over the graph's padded neighbour tables; it differs
 only in its reduction (log-sum-exp or max), so each DP step is a single
 vectorized gather and reduction.
-The exhaustive :func:`enumerate_oracle` deliberately avoids this machinery
-and recomputes everything from first principles on tiny instances.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleUtteranceError, NumericalError
-from .lattice import CtcGraph, UttLattice, WordSegDAG, enumerate_label_paths, lattice_from_dag
+from .lattice import CtcGraph
 
 PRIOR_FLOOR = 1e-10
 
@@ -290,46 +287,3 @@ def _draw(logw: np.ndarray, rng: np.random.Generator) -> int:
     """Index drawn with weight exp(logw); -inf entries are never drawn."""
     w = np.exp(logw - logw.max()).cumsum()
     return int(w.searchsorted(rng.random() * w[-1], side="right"))
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    loss: float
-    best_path: tuple[int, ...]
-    path_probs: dict[tuple[int, ...], float]   # accepted frame path -> posterior
-
-
-def enumerate_oracle(lattice: UttLattice | WordSegDAG, logp: np.ndarray,
-                     max_frames: int = 8, max_units: int = 5) -> OracleResult:
-    """Exhaustive reference: walk every frame string over the classes, keep
-    those whose collapse is an allowed unit sequence, and tally in linear
-    space with plain Python floats."""
-    lattice = lattice_from_dag(lattice) if isinstance(lattice, WordSegDAG) else lattice
-    logp = _check_posteriors(logp)
-    T, classes = logp.shape
-    blank = classes - 1
-    if T > max_frames or classes - 1 > max_units:
-        raise ValueError(f"instance too large for enumeration (T={T}, units={classes - 1})")
-    allowed = set(enumerate_label_paths(lattice))
-    rows = [[float(x) for x in row] for row in logp]
-    total = 0.0
-    best_lp = -math.inf
-    best_path: tuple[int, ...] = ()
-    path_probs: dict[tuple[int, ...], float] = {}
-    for y in itertools.product(range(classes), repeat=T):
-        if collapse(y, blank) not in allowed:
-            continue
-        lp = 0.0
-        for t in range(T):
-            lp += rows[t][y[t]]
-        p = math.exp(lp)
-        total += p
-        path_probs[y] = p
-        if lp > best_lp:
-            best_lp = lp
-            best_path = y
-    if total == 0.0 or not path_probs:
-        raise InfeasibleUtteranceError("no accepted frame string at this length")
-    for y in path_probs:
-        path_probs[y] /= total
-    return OracleResult(-math.log(total), best_path, path_probs)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ctc import batch_log_loss, logsumexp
 from .errors import FormatError, InfeasibleUtteranceError, NumericalError
-from .lattice import CtcGraph, UttLattice, ctc_expand
+from .lattice import CtcGraph, UttLattice, expand_lattices
 
 log = logging.getLogger(__name__)
 
@@ -284,14 +284,16 @@ class TrainResult:
     skipped: int
 
 
-def _as_graph(item, params: EncoderParams, vocab) -> CtcGraph:
-    if isinstance(item, CtcGraph):
-        return item
-    if isinstance(item, UttLattice):
-        if vocab is None:
-            raise ValueError("expanding a lattice requires the vocabulary")
-        return ctc_expand(item, vocab)
-    raise TypeError(f"expected UttLattice or CtcGraph, got {type(item)!r}")
+def _as_graphs(items, vocab) -> list[CtcGraph]:
+    """Each item as a graph; the lattices among them expand in one call."""
+    for item in items:
+        if not isinstance(item, (CtcGraph, UttLattice)):
+            raise TypeError(f"expected UttLattice or CtcGraph, got {type(item)!r}")
+    lattices = [item for item in items if isinstance(item, UttLattice)]
+    if lattices and vocab is None:
+        raise ValueError("expanding a lattice requires the vocabulary")
+    expanded = iter(expand_lattices(lattices, vocab))
+    return [next(expanded) if isinstance(item, UttLattice) else item for item in items]
 
 
 def _features(item) -> np.ndarray:
@@ -306,11 +308,11 @@ def train(dataset, params: EncoderParams, config: TrainConfig,
     skipped and counted.  Returns the parameters of the best held-out epoch
     (training-loss epoch when the split is empty) and the loss curve.
     """
+    dataset = list(dataset)
     items = []
     skipped = 0
-    for feats, lat in dataset:
+    for (feats, _), graph in zip(dataset, _as_graphs([lat for _, lat in dataset], vocab)):
         x = _features(feats)
-        graph = _as_graph(lat, params, vocab)
         if subsampled_length(x.shape[0], params.subsample_factor) < graph.min_frames:
             skipped += 1
             continue

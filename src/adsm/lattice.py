@@ -10,6 +10,7 @@ of every allowed unit sequence.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -199,61 +200,123 @@ class CtcGraph:
 
 def ctc_expand(lattice: UttLattice, vocab: Vocabulary) -> CtcGraph:
     """Blank-augment a lattice into its frame-transition graph."""
-    n_nodes = lattice.n_nodes
-    src, dst, uid, word = np.array(lattice.arcs, dtype=np.intp).reshape(-1, 4).T
-    n_arcs = len(src)
-    n_states = n_nodes + n_arcs
+    return expand_lattices([lattice], vocab)[0]
+
+
+EXPAND_STACK = 64  # lattices stacked per pass; bounds the stacked temporaries
+
+
+def expand_lattices(lattices: Sequence[UttLattice], vocab: Vocabulary) -> list[CtcGraph]:
+    """:func:`ctc_expand` of each lattice, ``EXPAND_STACK`` at a time stacked
+    into one block-diagonal lattice: lattice b's states (its nodes, then its
+    arcs) take the contiguous range ``off[b]:off[b + 1]``, the edges and
+    neighbour tables are built once over the stack, and each graph is cut
+    from its range.  Every graph equals that of expanding its lattice alone.
+
+    Raises ValueError naming an arc that does not run from a lower to a
+    higher node of its lattice."""
+    graphs: list[CtcGraph] = []
+    for lo in range(0, len(lattices), EXPAND_STACK):
+        graphs += _expand_stack(lattices[lo : lo + EXPAND_STACK], vocab)
+    return graphs
+
+
+def _expand_stack(lattices: Sequence[UttLattice], vocab: Vocabulary) -> list[CtcGraph]:
+    B = len(lattices)
+    n_nodes = np.array([lat.n_nodes for lat in lattices], dtype=np.intp)
+    n_arcs = np.array([len(lat.arcs) for lat in lattices], dtype=np.intp)
+    src, dst, uid, word = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(lat.arcs for lat in lattices)),
+        dtype=np.intp, count=4 * int(n_arcs.sum())).reshape(-1, 4).T
+    owner = np.repeat(np.arange(B), n_arcs)
+    arc = np.arange(len(src)) - np.repeat(np.cumsum(n_arcs) - n_arcs, n_arcs)
+    bad = ~((0 <= src) & (src < dst) & (dst < n_nodes[owner]))
+    if bad.any():
+        b, a = owner[bad.argmax()], arc[bad.argmax()]
+        raise ValueError(f"arc {a} {lattices[b].arcs[a]} of lattice {b} does not run "
+                         f"from a lower to a higher node below {n_nodes[b]}")
+    off = np.concatenate([[0], np.cumsum(n_nodes + n_arcs)])
+    n_states = int(off[-1])
     states = np.arange(n_states)
-    arc_states = states[n_nodes:]
-    no_arc = np.full(n_nodes, -1)
+    arc_states = off[owner] + n_nodes[owner] + arc
+    node_src, node_dst = off[owner] + src, off[owner] + dst
 
     # Label -> label: arc a into node v, then arc b out of v with another label.
-    by_src = np.argsort(src, kind="stable")
-    first = np.searchsorted(src[by_src], dst, "left")
-    n_next = np.searchsorted(src[by_src], dst, "right") - first
-    a = np.repeat(np.arange(n_arcs), n_next)
+    by_src = np.argsort(node_src, kind="stable")
+    first = np.searchsorted(node_src[by_src], node_dst, "left")
+    n_next = np.searchsorted(node_src[by_src], node_dst, "right") - first
+    a = np.repeat(np.arange(len(src)), n_next)
     # for each a in turn, b runs through by_src[first[a] : first[a] + n_next[a]]
     b = by_src[np.repeat(first - np.cumsum(n_next) + n_next, n_next) + np.arange(len(a))]
+    min_frames = _min_frames(a, b, src, dst, uid, owner, n_nodes, off)
     keep = uid[a] != uid[b]
     a, b = a[keep], b[keep]
 
     # Self loops, node blank -> label state, label state -> node blank, label -> label.
-    frm = np.concatenate([states, src, arc_states, arc_states[a]])
-    to = np.concatenate([states, arc_states, dst, arc_states[b]])
-    pred = _neighbour_table(to, frm, n_states)
-    initial = np.concatenate([[0], arc_states[src == 0]])
-    final = np.concatenate([[n_nodes - 1], arc_states[dst == n_nodes - 1]])
-
-    # Minimal accepted path length: the first frame at which a final state
-    # is reachable (n_states + 1 when none ever is).
-    reach = np.zeros(n_states + 1, dtype=bool)
-    reach[initial] = True
-    for min_frames in range(1, n_states + 2):
-        if reach[final].any():
-            break
-        reach[:-1] = reach[pred].any(axis=0)
-
-    return CtcGraph(
-        labels=np.concatenate([np.full(n_nodes, vocab.blank_id), uid]),
-        blank=vocab.blank_id,
-        initial=initial,
-        final=final,
-        pred=pred,
-        succ=_neighbour_table(frm, to, n_states),
-        state_arc=np.concatenate([no_arc, np.arange(n_arcs)]),
-        state_word=np.concatenate([no_arc, word]),
-        min_frames=min_frames,
-    )
+    frm = np.concatenate([states, node_src, arc_states, arc_states[a]])
+    to = np.concatenate([states, arc_states, node_dst, arc_states[b]])
+    labels = np.full(n_states, vocab.blank_id, dtype=np.intp)
+    labels[arc_states] = uid
+    state_arc = np.full(n_states, -1, dtype=np.intp)
+    state_arc[arc_states] = arc
+    state_word = np.full(n_states, -1, dtype=np.intp)
+    state_word[arc_states] = word
+    # Ascending global ids group by lattice, each node state before its arcs.
+    initial = np.sort(np.concatenate([off[:-1], arc_states[src == 0]]))
+    final = np.sort(np.concatenate([off[1:] - n_arcs - 1,
+                                    arc_states[dst == n_nodes[owner] - 1]]))
+    cut_i, cut_f = np.searchsorted(initial, off).tolist(), np.searchsorted(final, off).tolist()
+    local = states - np.repeat(off[:-1], np.diff(off))
+    initial, final = local[initial], local[final]
+    bounds = off.tolist()
+    return [CtcGraph(labels=labels[lo:hi], blank=vocab.blank_id,
+                     initial=initial[cut_i[k] : cut_i[k + 1]],
+                     final=final[cut_f[k] : cut_f[k + 1]],
+                     pred=pred, succ=succ, state_arc=state_arc[lo:hi],
+                     state_word=state_word[lo:hi], min_frames=m)
+            for k, (lo, hi, pred, succ, m) in enumerate(zip(
+                bounds, bounds[1:], _neighbour_tables(to, frm, off),
+                _neighbour_tables(frm, to, off), min_frames))]
 
 
-def _neighbour_table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Column r lists the ``cols`` paired with row r, ascending, padded with n."""
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
+def _min_frames(a, b, src, dst, uid, owner, n_nodes, off) -> list[int]:
+    """Minimal accepted path length per lattice, by a DP over its nodes in
+    node order whose state is the last arc taken (so its label): one frame
+    per arc, and one more for the blank forced between equal labels, across
+    word boundaries too.  ``a[i] -> b[i]`` lists every pair of consecutive
+    arcs.  A lattice without a path gets its state count + 1; a lattice of
+    one node, one blank frame."""
+    big = np.iinfo(np.intp).max // 2
+    frames = np.where(src == 0, 1, big)
+    step = np.argsort(src[b], kind="stable")
+    a, b = a[step], b[step]
+    cost = 1 + (uid[a] == uid[b])
+    # Arcs run from lower to higher nodes, so node k of every lattice is
+    # settled once the nodes below it are; all lattices take it in one step.
+    # No arc leaves the last node of the largest lattice.
+    cuts = np.searchsorted(src[b], np.arange(1, n_nodes.max())).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        np.minimum.at(frames, b[lo:hi], frames[a[lo:hi]] + cost[lo:hi])
+    ends = dst == n_nodes[owner] - 1
+    best = np.full(len(n_nodes), big)
+    np.minimum.at(best, owner[ends], frames[ends])
+    out = np.where(best < big, best, np.diff(off) + 1)
+    return np.where(n_nodes == 1, 1, out).tolist()
+
+
+def _neighbour_tables(rows: np.ndarray, cols: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
+    """For each block of states ``off[b]:off[b + 1]``, the table whose column
+    r lists the ``cols`` paired with row ``off[b] + r``, ascending, as ids
+    within the block, padded with the block's size."""
+    n = int(off[-1])
+    rows, cols = np.divmod(np.sort(rows * n + cols), n)
     count = np.bincount(rows, minlength=n)
-    table = np.full((count.max(), n), n, dtype=np.intp)
+    # Pads hold their block's end, which the shift to block ids makes its size.
+    table = np.repeat(off[1:], np.diff(off))[None].repeat(count.max(), axis=0)
     table[np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count), rows] = cols
-    return table
+    bounds = off.tolist()
+    return [table[:deg, lo:hi] - lo for deg, lo, hi in
+            zip(np.maximum.reduceat(count, off[:-1]).tolist(), bounds, bounds[1:])]
 
 
 def path_stats(g: WordSegDAG | UttLattice) -> tuple[int, int, int]:
@@ -300,31 +363,6 @@ def _label_path_dp(g):
     l = min((lo[a] for a in finals if count[a]), default=0)
     h = max((hi[a] for a in finals if count[a]), default=0)
     return c, t, l, h
-
-
-def enumerate_label_paths(g: WordSegDAG | UttLattice) -> list[tuple[int, ...]]:
-    """All source-to-sink unit-id sequences, by plain recursive walk.
-
-    Exponential in path count; test and oracle use only.
-    """
-    lattice = lattice_from_dag(g) if isinstance(g, WordSegDAG) else g
-    out_by_node: list[list[tuple[int, int]]] = [[] for _ in range(lattice.n_nodes)]
-    for u, v, uid, _ in lattice.arcs:
-        out_by_node[u].append((v, uid))
-    sink = lattice.n_nodes - 1
-    paths: list[tuple[int, ...]] = []
-
-    def walk(node, prefix):
-        if node == sink:
-            paths.append(tuple(prefix))
-            return
-        for v, uid in out_by_node[node]:
-            prefix.append(uid)
-            walk(v, prefix)
-            prefix.pop()
-
-    walk(0, [])
-    return paths
 
 
 def dump_graph(graph: CtcGraph, vocab: Vocabulary | None = None) -> str:

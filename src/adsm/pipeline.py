@@ -20,7 +20,7 @@ from .encoder import (CHUNK, EncoderParams, TrainConfig, encode, init_params,
                       subsampled_length, train)
 from .errors import FormatError
 from .lattice import (UttLattice, build_word_dag_explicit,
-                      build_word_dag_implicit, concat_utterance, ctc_expand)
+                      build_word_dag_implicit, concat_utterance, expand_lattices)
 from .lexicon import build_initial_vocab, make_initial_segtable, prepare_entries
 from .vocab import SegMode, SegTable, Unit, Vocabulary, marked, parse_marked
 
@@ -178,12 +178,14 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
     if params.num_classes != vocab.num_classes:
         raise ValueError(f"the encoder has {params.num_classes} classes, "
                          f"the vocabulary {vocab.num_classes}")
+    dataset = list(dataset)
+    if graphs is None:
+        graphs = expand_lattices([lat for _, lat in dataset], vocab)
     posteriors = []
     feasible = []
     skipped = 0
-    for i, (feats, lat) in enumerate(dataset):
+    for i, ((feats, lat), graph) in enumerate(zip(dataset, graphs)):
         x = np.asarray(getattr(feats, "values", feats), dtype=np.float64)
-        graph = ctc_expand(lat, vocab) if graphs is None else graphs[i]
         if subsampled_length(x.shape[0], params.subsample_factor) < graph.min_frames:
             skipped += 1
             continue
@@ -361,7 +363,7 @@ def run_pipeline(corp: corpus_io.Corpus, entries, config: PipelineConfig,
             params = resize_output(params, vocab.num_classes, seed, keep_lower=True)
             set_subsample(params, factor)
         dataset = build_dataset(corp, vocab, table)
-        graphs = [ctc_expand(lat, vocab) for _, lat in dataset]
+        graphs = expand_lattices([lat for _, lat in dataset], vocab)
         tr = train([(feats, g) for (feats, _), g in zip(dataset, graphs)], params,
                    replace(config.train, seed=seed + 1))
         log.info("round %d: trained %d epochs, final train loss %.4f",

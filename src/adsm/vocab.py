@@ -118,7 +118,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        rows: list[tuple[int, Unit]] = []
+        rows: dict[Unit, int] = {}
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             if not header.startswith(VOCAB_HEADER):
@@ -134,14 +134,16 @@ class Vocabulary:
                 if end_s not in ("0", "1"):
                     raise FormatError(f"word_end must be 0 or 1, not {end_s!r}",
                                       path=path, line=lineno)
+                unit = (spelling, end_s == "1")
+                if unit in rows:
+                    raise FormatError(f"duplicate unit {marked(unit)!r}", path=path, line=lineno)
                 try:
-                    rows.append((int(id_s), (spelling, end_s == "1")))
+                    rows[unit] = int(id_s)
                 except ValueError as exc:
                     raise FormatError(str(exc), path=path, line=lineno) from exc
-        ids = sorted(i for i, _ in rows)
-        if ids != list(range(len(rows))):
+        if sorted(rows.values()) != list(range(len(rows))):
             raise FormatError("unit ids are not dense", path=path)
-        ordered = [unit for _, unit in sorted(rows)]
+        ordered = sorted(rows, key=rows.get)
         try:
             return cls(ordered)
         except ValueError as exc:

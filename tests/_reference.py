@@ -1,12 +1,23 @@
-"""Straightforward single-sequence CTC loss, used as an independent check.
+"""Independent references the tests check the package against.
 
-Implements the classic alpha recursion over the blank-interleaved label
-string directly from its textbook description.  No code is shared with the
+A straightforward single-sequence CTC loss (the classic alpha recursion over
+the blank-interleaved label string, from its textbook description), a
+textbook back-pointer Viterbi, brute-force enumeration of label paths and of
+accepted frame strings, and the plain one-lattice-at-a-time expansion of a
+lattice into its frame-transition graph.  No code is shared with the
 package's graph-based machinery on purpose.
 """
 
+import itertools
+import math
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import logsumexp
+
+from adsm.ctc import collapse
+from adsm.errors import InfeasibleUtteranceError, NumericalError
+from adsm.lattice import CtcGraph, UttLattice, WordSegDAG, lattice_from_dag
 
 NEG_INF = float("-inf")
 
@@ -83,3 +94,133 @@ def viterbi_states(graph, scores: np.ndarray) -> tuple[int, ...]:
     for ptr in reversed(back):
         path.append(ptr[path[-1]])
     return tuple(reversed(path))
+
+
+def ctc_expand_reference(lattice: UttLattice, vocab) -> CtcGraph:
+    """Blank-augment one lattice into its frame-transition graph, finding
+    ``min_frames`` as the first frame at which a final state is reachable."""
+    n_nodes = lattice.n_nodes
+    src, dst, uid, word = np.array(lattice.arcs, dtype=np.intp).reshape(-1, 4).T
+    n_arcs = len(src)
+    n_states = n_nodes + n_arcs
+    states = np.arange(n_states)
+    arc_states = states[n_nodes:]
+    no_arc = np.full(n_nodes, -1)
+
+    # Label -> label: arc a into node v, then arc b out of v with another label.
+    by_src = np.argsort(src, kind="stable")
+    first = np.searchsorted(src[by_src], dst, "left")
+    n_next = np.searchsorted(src[by_src], dst, "right") - first
+    a = np.repeat(np.arange(n_arcs), n_next)
+    b = by_src[np.repeat(first - np.cumsum(n_next) + n_next, n_next) + np.arange(len(a))]
+    keep = uid[a] != uid[b]
+    a, b = a[keep], b[keep]
+
+    # Self loops, node blank -> label state, label state -> node blank, label -> label.
+    frm = np.concatenate([states, src, arc_states, arc_states[a]])
+    to = np.concatenate([states, arc_states, dst, arc_states[b]])
+    pred = _neighbour_table(to, frm, n_states)
+    initial = np.concatenate([[0], arc_states[src == 0]])
+    final = np.concatenate([[n_nodes - 1], arc_states[dst == n_nodes - 1]])
+
+    # n_states + 1 when no final state is ever reachable.
+    reach = np.zeros(n_states + 1, dtype=bool)
+    reach[initial] = True
+    for min_frames in range(1, n_states + 2):
+        if reach[final].any():
+            break
+        reach[:-1] = reach[pred].any(axis=0)
+
+    return CtcGraph(
+        labels=np.concatenate([np.full(n_nodes, vocab.blank_id), uid]),
+        blank=vocab.blank_id,
+        initial=initial,
+        final=final,
+        pred=pred,
+        succ=_neighbour_table(frm, to, n_states),
+        state_arc=np.concatenate([no_arc, np.arange(n_arcs)]),
+        state_word=np.concatenate([no_arc, word]),
+        min_frames=min_frames,
+    )
+
+
+def _neighbour_table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Column r lists the ``cols`` paired with row r, ascending, padded with n."""
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    count = np.bincount(rows, minlength=n)
+    table = np.full((count.max(), n), n, dtype=np.intp)
+    table[np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count), rows] = cols
+    return table
+
+
+def enumerate_label_paths(g: WordSegDAG | UttLattice) -> list[tuple[int, ...]]:
+    """All source-to-sink unit-id sequences, by plain recursive walk.
+
+    Exponential in path count; test and oracle use only.
+    """
+    lattice = lattice_from_dag(g) if isinstance(g, WordSegDAG) else g
+    out_by_node: list[list[tuple[int, int]]] = [[] for _ in range(lattice.n_nodes)]
+    for u, v, uid, _ in lattice.arcs:
+        out_by_node[u].append((v, uid))
+    sink = lattice.n_nodes - 1
+    paths: list[tuple[int, ...]] = []
+
+    def walk(node, prefix):
+        if node == sink:
+            paths.append(tuple(prefix))
+            return
+        for v, uid in out_by_node[node]:
+            prefix.append(uid)
+            walk(v, prefix)
+            prefix.pop()
+
+    walk(0, [])
+    return paths
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    loss: float
+    best_path: tuple[int, ...]
+    path_probs: dict[tuple[int, ...], float]   # accepted frame path -> posterior
+
+
+def enumerate_oracle(lattice: UttLattice | WordSegDAG, logp: np.ndarray,
+                     max_frames: int = 8, max_units: int = 5) -> OracleResult:
+    """Exhaustive reference: walk every frame string over the classes, keep
+    those whose collapse is an allowed unit sequence, and tally in linear
+    space with plain Python floats."""
+    lattice = lattice_from_dag(lattice) if isinstance(lattice, WordSegDAG) else lattice
+    logp = np.asarray(logp, dtype=np.float64)
+    if logp.ndim != 2:
+        raise ValueError("posterior matrix must be 2-D")
+    if not np.all(np.isfinite(logp)):
+        raise NumericalError("posterior matrix contains non-finite values")
+    T, classes = logp.shape
+    blank = classes - 1
+    if T > max_frames or classes - 1 > max_units:
+        raise ValueError(f"instance too large for enumeration (T={T}, units={classes - 1})")
+    allowed = set(enumerate_label_paths(lattice))
+    rows = [[float(x) for x in row] for row in logp]
+    total = 0.0
+    best_lp = -math.inf
+    best_path: tuple[int, ...] = ()
+    path_probs: dict[tuple[int, ...], float] = {}
+    for y in itertools.product(range(classes), repeat=T):
+        if collapse(y, blank) not in allowed:
+            continue
+        lp = 0.0
+        for t in range(T):
+            lp += rows[t][y[t]]
+        p = math.exp(lp)
+        total += p
+        path_probs[y] = p
+        if lp > best_lp:
+            best_lp = lp
+            best_path = y
+    if total == 0.0 or not path_probs:
+        raise InfeasibleUtteranceError("no accepted frame string at this length")
+    for y in path_probs:
+        path_probs[y] /= total
+    return OracleResult(-math.log(total), best_path, path_probs)

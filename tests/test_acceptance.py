@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from adsm.corpus import SyntheticSpec, g2p_entries_for, gen_synthetic
-from adsm.ctc import enumerate_oracle, log_loss, sample_path, viterbi
+from adsm.ctc import log_loss, sample_path, viterbi
 from adsm.encoder import (TrainConfig, flatten_params, init_params,
                           set_flat_params, utterance_grads)
 from adsm.lattice import (build_word_dag_explicit, build_word_dag_implicit,
@@ -26,7 +26,7 @@ from adsm.vocab import SegTable, Vocabulary, marked
 
 from conftest import (chars_vocab, enumerate_segmentations, flagged,
                       random_logp, random_oracle_instance)
-from _reference import ctc_loss_single
+from _reference import ctc_loss_single, enumerate_oracle
 
 
 @pytest.fixture(scope="module")

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from adsm.ctc import (batch_viterbi, collapse, enumerate_oracle, estimate_prior,
-                      log_loss, logsumexp, sample_path, viterbi)
+from adsm.ctc import (batch_viterbi, collapse, estimate_prior, log_loss, logsumexp,
+                      sample_path, viterbi)
 from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import build_word_dag_explicit, build_word_dag_implicit, \
-    concat_utterance, ctc_expand, enumerate_label_paths, lattice_from_dag
+    concat_utterance, ctc_expand, lattice_from_dag
 from adsm.vocab import Vocabulary
 from conftest import (chars_vocab, flagged, implicit_instance, random_logp,
                       random_oracle_instance)
-from _reference import ctc_loss_single, viterbi_states
+from _reference import (ctc_loss_single, enumerate_label_paths, enumerate_oracle,
+                        viterbi_states)
 
 
 def test_collapse():

@@ -204,6 +204,21 @@ def test_train_skips_infeasible_and_rejects_empty():
         train([short], p, TrainConfig(epochs=1, seed=0))
 
 
+def test_train_expands_lattices_and_rejects_other_items():
+    vocab, data = toy_dataset(n=6)
+    lattices = [lattice_from_dag(build_word_dag_implicit("ab"[i % 2], vocab)) for i in range(6)]
+    cfg = TrainConfig(learning_rate=0.5, epochs=3, seed=7)
+    p1 = init_params(3, (6,), vocab.num_classes, seed=5)
+    p2 = init_params(3, (6,), vocab.num_classes, seed=5)
+    mixed = [(x, lat if i % 3 else g) for i, ((x, g), lat) in enumerate(zip(data, lattices))]
+    assert train(mixed, p1, cfg, vocab).curve == train(data, p2, cfg).curve
+    np.testing.assert_array_equal(flatten_params(p1), flatten_params(p2))
+    with pytest.raises(ValueError, match="requires the vocabulary"):
+        train(mixed, p1, cfg)
+    with pytest.raises(TypeError, match="expected UttLattice or CtcGraph"):
+        train(data + [(data[0][0], "ab")], p1, cfg, vocab)
+
+
 def test_resize_output_modes():
     p = init_params(3, (6, 4), 5, subsample_factor=2, seed=11)
     fresh = resize_output(p, 8, seed=12)

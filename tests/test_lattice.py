@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from adsm.lattice import (build_word_dag_explicit, build_word_dag_implicit,
+from adsm import lattice as lattice_mod
+from adsm.lattice import (UttLattice, build_word_dag_explicit, build_word_dag_implicit,
                           concat_utterance, ctc_expand, dump_dag, dump_graph,
-                          enumerate_label_paths, lattice_from_dag, path_stats,
+                          expand_lattices, lattice_from_dag, path_stats,
                           path_length_stats)
 from adsm.vocab import Vocabulary
-from conftest import chars_vocab, enumerate_segmentations, flagged
+from conftest import chars_vocab, enumerate_segmentations, flagged, random_oracle_instance
+from _reference import ctc_expand_reference, enumerate_label_paths
 
 
 def spell_paths(paths, vocab):
@@ -230,3 +234,108 @@ def test_dumps_are_line_oriented():
     assert gtext.startswith("#adsm-graph-v1\n")
     assert gtext.count("state ") == g.n_states
     assert gtext.count("\narc ") == len(g.transitions())
+
+
+GRAPH_FIELDS = ("labels", "initial", "final", "pred", "succ", "state_arc", "state_word")
+
+
+def assert_same_graph(got, want):
+    for field in GRAPH_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert np.array_equal(a, b), field
+    assert (got.blank, got.min_frames) == (want.blank, want.min_frames)
+    assert type(got.min_frames) is int
+
+
+def assert_expands_as_reference(lattices, vocab, rng):
+    """Every graph equals the one-lattice reference expansion: in one call,
+    in a shuffled call, one lattice per call, and in calls of random sizes."""
+    want = [ctc_expand_reference(lat, vocab) for lat in lattices]
+    for got, w in zip(expand_lattices(lattices, vocab), want, strict=True):
+        assert_same_graph(got, w)
+    order = rng.permutation(len(lattices))
+    for got, i in zip(expand_lattices([lattices[i] for i in order], vocab), order, strict=True):
+        assert_same_graph(got, want[i])
+    for lat, w in zip(lattices, want):
+        assert_same_graph(ctc_expand(lat, vocab), w)
+    lo = 0
+    while lo < len(lattices):
+        hi = lo + int(rng.integers(1, 12))
+        for got, w in zip(expand_lattices(lattices[lo:hi], vocab), want[lo:hi], strict=True):
+            assert_same_graph(got, w)
+        lo = hi
+
+
+def utterance_lattices(rng, explicit, n=60):
+    """Utterances of 6 to 10 words over characters and two-letter chunks:
+    every split of each word (as in the first round), or a few of them per
+    word (as after refinement).  The one-letter words repeat a word-final
+    label across a word boundary."""
+    words = ["bage", "ceha", "dila", "la", "baceab", "abba", "aa", "a"]
+    chunks = ["ba", "ce", "di", "ga", "he", "la", "ab"]
+    vocab = Vocabulary.from_units({(c, e) for c in set("".join(words)) | set(chunks)
+                                   for e in (False, True)})
+    dags = {}
+    for word in words:
+        dag = build_word_dag_implicit(word, vocab)
+        if explicit:
+            paths = enumerate_label_paths(dag)
+            pick = rng.choice(len(paths), size=min(len(paths), 3), replace=False)
+            dag = build_word_dag_explicit([paths[i] for i in pick], vocab)
+        dags[word] = dag
+    lattices = [concat_utterance([dags[w] for w in rng.choice(words, size=int(rng.integers(6, 11)))])
+                for _ in range(n)]
+    return lattices, vocab
+
+
+def test_expand_lattices_equals_reference_on_c1_instances():
+    rng = np.random.default_rng(20)     # the instances of acceptance check C1
+    by_vocab = {}
+    for lat, vocab, _ in (random_oracle_instance(rng) for _ in range(200)):
+        by_vocab.setdefault(vocab.units, (vocab, []))[1].append(lat)
+    for vocab, lattices in by_vocab.values():
+        assert_expands_as_reference(lattices, vocab, rng)
+
+
+def test_expand_lattices_equals_reference_on_random_lattices():
+    rng = np.random.default_rng(23)
+    pairs = [random_lattice(rng) for _ in range(150)]
+    assert_expands_as_reference([lat for lat, _ in pairs], pairs[0][1], rng)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_expand_lattices_equals_reference_on_utterances(explicit, monkeypatch):
+    rng = np.random.default_rng(37)
+    lattices, vocab = utterance_lattices(rng, explicit)
+    assert_expands_as_reference(lattices, vocab, rng)
+    monkeypatch.setattr(lattice_mod, "EXPAND_STACK", 7)
+    assert_expands_as_reference(lattices, vocab, rng)
+
+
+def test_expand_lattices_min_frames_of_degenerate_lattices():
+    vocab = chars_vocab("ab")
+    a, b_ = vocab.id_of[("a", False)], vocab.id_of[("b", True)]
+    one_node = UttLattice(("",), 1, (), (0, 0))
+    no_path = UttLattice(("ab",), 3, ((0, 1, a, 0),), (0, 2))
+    dead_arc = UttLattice(("ab",), 4, ((0, 1, a, 0), (1, 3, b_, 0), (2, 3, b_, 0)), (0, 3))
+    lattices = [one_node, no_path, dead_arc]
+    graphs = expand_lattices(lattices, vocab)
+    # one blank frame; no path at all reads the state count + 1
+    assert [g.min_frames for g in graphs] == [1, 5, 2]
+    for got, lat in zip(graphs, lattices):
+        assert_same_graph(got, ctc_expand_reference(lat, vocab))
+    assert expand_lattices([], vocab) == []
+
+
+@pytest.mark.parametrize("arc", [(1, 0), (1, 1), (0, 2), (-1, 1)],
+                         ids=["backward", "self", "past the sink", "negative"])
+def test_expand_lattices_rejects_arcs_against_node_order(arc):
+    vocab = chars_vocab("a")
+    a_ = vocab.id_of[("a", True)]
+    good = UttLattice(("a",), 2, ((0, 1, a_, 0),), (0, 1))
+    bad = UttLattice(("a",), 2, ((0, 1, a_, 0), (*arc, a_, 0)), (0, 1))
+    with pytest.raises(ValueError, match=re.escape(f"arc 1 {(*arc, a_, 0)} of lattice 1 ")):
+        expand_lattices([good, bad], vocab)
+    with pytest.raises(ValueError, match="lower to a higher node"):
+        ctc_expand(bad, vocab)

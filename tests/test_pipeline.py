@@ -11,9 +11,9 @@ from adsm.pipeline import (AlignedUtt, PipelineConfig, VariantStats,
                            align_corpus, build_dataset, finalize, make_targets,
                            merge_subwords, refine, run_pipeline,
                            utterance_lattice)
-from adsm.lattice import ctc_expand, enumerate_label_paths
+from adsm.lattice import ctc_expand
 from adsm.vocab import SegTable, Vocabulary, marked
-from _reference import viterbi_states
+from _reference import ctc_expand_reference, enumerate_label_paths, viterbi_states
 
 
 def test_pipeline_config_validation():
@@ -141,7 +141,7 @@ def _align_one_by_one(params, dataset, prior_scale, vocab):
     Viterbi recursion."""
     feasible, skipped = [], 0
     for i, (feats, lat) in enumerate(dataset):
-        graph = ctc_expand(lat, vocab)
+        graph = ctc_expand_reference(lat, vocab)
         if subsampled_length(feats.values.shape[0], params.subsample_factor) < graph.min_frames:
             skipped += 1
         else:
