@@ -34,12 +34,12 @@ cob\tc}k o}aa b}b
 ace\ta}ey c}s e}_
 """
 
-workdir = tempfile.mkdtemp(prefix="adsm-demo-")
-g2p_path = os.path.join(workdir, "lexicon.tsv")
-with open(g2p_path, "w", encoding="utf-8") as fh:
-    fh.write(LEXICON)
+with tempfile.TemporaryDirectory(prefix="adsm-demo-") as workdir:
+    g2p_path = os.path.join(workdir, "lexicon.tsv")
+    with open(g2p_path, "w", encoding="utf-8") as fh:
+        fh.write(LEXICON)
+    entries = parse_g2p(g2p_path)
 
-entries = parse_g2p(g2p_path)
 print("parsed entries:")
 for e in entries:
     print(f"  {e.word}: " + " ".join(f"{g}}}{p or '_'}" for g, p in e.pairs))

@@ -10,6 +10,7 @@ settles on close to one variant per word.  The run ends by comparing every
 utterance's target sequence against the generating ground truth.
 """
 
+import os
 import tempfile
 
 from adsm.corpus import SyntheticSpec, format_report, g2p_entries_for, gen_synthetic
@@ -30,11 +31,10 @@ config = PipelineConfig(
     train=TrainConfig(epochs=20, learning_rate=1.0, batch_size=8),
     seed=0)
 
-outdir = tempfile.mkdtemp(prefix="adsm-run-")
-result = run_pipeline(corp, g2p_entries_for(spec), config, outdir)
-
-print(format_report(result.metrics))
-print(f"artifacts in {outdir}")
+with tempfile.TemporaryDirectory(prefix="adsm-run-") as outdir:
+    result = run_pipeline(corp, g2p_entries_for(spec), config, outdir)
+    print(format_report(result.metrics))
+    print("artifacts written:", " ".join(sorted(os.listdir(outdir))))
 
 print("\nfinal segmentation table:")
 for word in result.table.words():

@@ -1,9 +1,15 @@
 """Exact dynamic programming over frame-transition graphs.
 
-All quantities live in log space.  Forward, backward, Viterbi and sampling
-share one frame loop over the graph's padded neighbour tables; it differs
-only in its reduction (log-sum-exp or max), so each DP step is a single
-vectorized gather and reduction.
+The training loss's forward-backward runs in linear space with per-block
+scaling (Rabiner 1989): emissions are divided by their per-frame maximum,
+forward rows are renormalised every frame, and the loss is the sum of the
+logs of the normalisers and shifts.  A path whose partial mass falls below
+about e^-708 of its utterance's at some frame is lost; an utterance whose
+loss or occupancy comes out non-finite that way is recomputed in log space.
+Viterbi, sampling and that fallback share one log-space frame loop over the
+graph's padded neighbour tables; it differs only in its reduction
+(log-sum-exp or max), so each DP step is a single vectorized gather and
+reduction.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ def _max(x: np.ndarray) -> np.ndarray:
 
 
 def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np.ndarray:
-    """The frame loop of every DP here: row 0 is 0 on the ``first`` states,
+    """The log-space frame loop: row 0 is 0 on the ``first`` states,
     and row t reduces ``row[t-1] + emit[t-1]`` over each state's neighbours
     in ``table``.  With the predecessor table and ``logsumexp`` this is the
     forward pass without the current frame's score, with ``max`` the Viterbi
@@ -91,11 +97,13 @@ def _block_table(tables: Sequence[np.ndarray], offsets: np.ndarray) -> np.ndarra
     A single table is its own union."""
     if len(tables) == 1:
         return tables[0]
+    offsets = np.asarray(offsets)
     S = offsets[-1]
     out = np.full((max(t.shape[0] for t in tables), S), S, dtype=np.intp)
     for t, lo, hi in zip(tables, offsets[:-1], offsets[1:]):
-        out[: t.shape[0], lo:hi] = np.where(t < hi - lo, t + lo, S)
-    return out
+        out[: t.shape[0], lo:hi] = t
+    sizes = np.diff(offsets)    # a graph's pads hold its own state count
+    return np.where(out < np.repeat(sizes, sizes), out + np.repeat(offsets[:-1], sizes), S)
 
 
 def _flip(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -108,25 +116,38 @@ def _flip(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_log_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: Sequence[int],
-                   occupancy: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`log_loss` of B utterances in one forward (and backward) sweep
-    over their graphs stacked block-diagonally.  ``logp`` is (B, T, C), its
-    rows from ``lengths[b]`` on finite padding.  Each total is read at its
-    utterance's last frame, and the backward pass runs over each one's own
-    reversed frames, so every value is bitwise that of a separate call.
-    Returns the B losses and the (B, T, C) occupancy, 0 on padded rows."""
-    B, T, C = logp.shape
-    lengths = np.asarray(lengths)
+def _stack(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.ndarray):
+    """The graphs stacked block-diagonally: (offsets, owner block of each
+    state, each state's last frame, and the (T, S + 1) emission scores, -inf
+    in the sentinel's slot)."""
     for graph, n in zip(graphs, lengths):
         _check_feasible(graph, n)
     sizes = [g.n_states for g in graphs]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    owner = np.repeat(np.arange(B), sizes)
+    owner = np.repeat(np.arange(len(graphs)), sizes)
     labels = np.concatenate([g.labels for g in graphs])
-    last = lengths[owner] - 1
-    emit = np.full((T, offsets[-1] + 1), -np.inf)
+    emit = np.full((logp.shape[1], offsets[-1] + 1), -np.inf)
     emit[:, :-1] = logp[owner, :, labels].T
+    return offsets, owner, lengths[owner] - 1, emit
+
+
+def _occupancy(gamma: np.ndarray, graphs: Sequence[CtcGraph], owner: np.ndarray,
+               shape: tuple[int, int, int]) -> np.ndarray:
+    """(B, T, C) class occupancy from the (T, S) state occupancy: each
+    (utterance, class, frame) cell sums its states in state order."""
+    B, T, C = shape
+    key = owner * C + np.concatenate([g.labels for g in graphs])
+    cells = key * T + np.arange(T)[:, None]
+    occ = np.bincount(cells.ravel(), weights=gamma.ravel(), minlength=B * C * T)
+    return occ.reshape(B, C, T).transpose(0, 2, 1)
+
+
+def _log_space_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.ndarray,
+                    occupancy: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`batch_log_loss` with every quantity in log space: the
+    fallback for blocks whose scaled sweep underflows.  The backward pass
+    runs over each utterance's own reversed frames."""
+    offsets, owner, last, emit = _stack(graphs, logp, lengths)
     first = np.concatenate([g.initial + o for g, o in zip(graphs, offsets)])
     alpha = _sweep(_block_table([g.pred for g in graphs], offsets), first, emit, logsumexp) + emit
     totals = np.array([logsumexp(alpha[n - 1, g.final + o]).item()
@@ -139,9 +160,91 @@ def batch_log_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: Sequen
     beta = _flip(_sweep(_block_table([g.succ for g in graphs], offsets), final,
                         _flip(emit, last), logsumexp), last)
     gamma = np.exp(alpha[:, :-1] + beta[:, :-1] - totals[owner])   # (T, S) state occupancy
-    occ = np.zeros((B, C, T))
-    np.add.at(occ.reshape(B * C, T), owner * C + labels, gamma.T)
-    return -totals, occ.transpose(0, 2, 1)
+    return -totals, _occupancy(gamma, graphs, owner, logp.shape)
+
+
+def batch_log_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: Sequence[int],
+                   occupancy: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`log_loss` of B utterances in one forward (and backward) sweep
+    over their graphs stacked block-diagonally.  ``logp`` is (B, T, C), its
+    rows from ``lengths[b]`` on finite padding.  Returns the B losses and the
+    (B, T, C) occupancy, 0 on padded rows.
+
+    The sweeps run in linear space with per-block scaling (Rabiner 1989):
+    each block's emissions are divided by their largest value in the frame,
+    its forward row is renormalised to sum 1 every frame, and the backward
+    pass divides by the same normalisers.  Every sum, maximum and normaliser
+    stays within one block, so each value is bitwise that of a separate
+    call.  A path whose partial mass falls below about e^-708 of its block's
+    at some frame is lost; a block whose loss or occupancy comes out
+    non-finite that way is recomputed in log space."""
+    B = logp.shape[0]
+    lengths = np.asarray(lengths)
+    offsets, owner, last, emit = _stack(graphs, logp, lengths)
+    starts = offsets[:-1]
+    final = np.concatenate([g.final + o for g, o in zip(graphs, offsets)])
+    with np.errstate(all="ignore"):     # underflow shows as a non-finite result
+        scale = np.maximum.reduceat(emit[:, :-1], starts, axis=1)       # (T, B)
+        e = np.zeros(emit.shape)        # the sentinel's slot stays 0
+        e[:, :-1] = np.exp(emit[:, :-1] - scale[:, owner])
+        alpha, norm = _scaled_forward(graphs, offsets, owner, e)
+        fin = np.bincount(owner[final], alpha[last[final], final], B)
+        totals = (np.cumsum(np.log(norm) + scale, axis=0)[lengths - 1, np.arange(B)]
+                  + np.log(fin))
+        ok = np.isfinite(totals)
+        occ = None
+        if occupancy:
+            beta = _scaled_backward(graphs, offsets, lengths, e, norm[:, owner])
+            gamma = alpha[:, :-1] * beta[:, :-1] / fin[owner]      # (T, S) state occupancy
+            ok &= np.logical_and.reduceat(np.isfinite(gamma).all(axis=0), starts)
+            occ = _occupancy(gamma, graphs, owner, logp.shape)
+    losses = -totals
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        losses[bad], redone = _log_space_loss([graphs[b] for b in bad], logp[bad],
+                                              lengths[bad], occupancy)
+        if occupancy:
+            occ[bad] = redone
+    return losses, occ
+
+
+def _scaled_forward(graphs: Sequence[CtcGraph], offsets: np.ndarray, owner: np.ndarray,
+                    e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, S + 1) forward pass over scaled emissions ``e``, each block's
+    row renormalised to sum 1, and the (T, B) normalisers."""
+    T, B = len(e), len(graphs)
+    table = _block_table([g.pred for g in graphs], offsets)
+    alpha = np.zeros(e.shape)           # the sentinel's slot stays 0
+    norm = np.empty((T, B))
+    first = np.concatenate([g.initial + o for g, o in zip(graphs, offsets)])
+    v = np.zeros(offsets[-1])
+    v[first] = e[0, first]
+    for t in range(T):
+        if t:
+            v = alpha[t - 1][table].sum(0) * e[t, :-1]
+        norm[t] = np.add.reduceat(v, offsets[:-1])
+        alpha[t, :-1] = v / norm[t][owner]
+    return alpha, norm
+
+
+def _scaled_backward(graphs: Sequence[CtcGraph], offsets: np.ndarray, lengths: np.ndarray,
+                     e: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """The (T, S + 1) backward pass over scaled emissions ``e``, divided by
+    the forward pass's per-state normalisers ``norm``.  It runs in natural
+    frame order, each block's final states set to 1 at its own last frame,
+    so no frame reversal is needed.  A block's rows after that frame are 0,
+    or NaN should its forward pass die out in the padding."""
+    starting: dict[int, list[np.ndarray]] = {}
+    for g, o, n in zip(graphs, offsets, lengths):
+        starting.setdefault(int(n) - 1, []).append(g.final + o)
+    table = _block_table([g.succ for g in graphs], offsets)
+    beta = np.zeros(e.shape)            # the sentinel's slot stays 0
+    for t in range(len(e) - 1, -1, -1):
+        if t < len(e) - 1:
+            beta[t, :-1] = (beta[t + 1] * e[t + 1])[table].sum(0) / norm[t + 1]
+        if t in starting:
+            beta[t, np.concatenate(starting[t])] = 1.0
+    return beta
 
 
 def log_loss(graph: CtcGraph, logp: np.ndarray,

@@ -2,7 +2,8 @@
 
 A straightforward single-sequence CTC loss (the classic alpha recursion over
 the blank-interleaved label string, from its textbook description), a
-textbook back-pointer Viterbi, brute-force enumeration of label paths and of
+forward-backward pass over a graph's transition list in extended precision,
+a textbook back-pointer Viterbi, brute-force enumeration of label paths and of
 accepted frame strings, and the plain one-lattice-at-a-time expansion of a
 lattice into its frame-transition graph.  No code is shared with the
 package's graph-based machinery on purpose.
@@ -58,6 +59,38 @@ def ctc_loss_single(logp: np.ndarray, labels, blank: int) -> float:
     if total == NEG_INF:
         raise ValueError("no feasible alignment for %d labels in %d frames" % (L, T))
     return -float(total)
+
+
+def forward_backward_extended(graph, logp: np.ndarray) -> tuple[float, np.ndarray]:
+    """(loss, (T, C) class occupancy) of a frame-transition graph, by the
+    forward-backward recursion over its transition list in ``np.longdouble``
+    (80-bit extended precision on x86), each frame's forward row divided by
+    its sum and the backward row by the same number."""
+    T, S = logp.shape[0], graph.n_states
+    frm, to = np.array(graph.transitions()).T
+    p = np.exp(logp.astype(np.longdouble))[:, graph.labels]
+    alpha = np.zeros((T, S), np.longdouble)
+    scale = np.zeros(T, np.longdouble)
+    row = np.zeros(S, np.longdouble)
+    row[graph.initial] = p[0, graph.initial]
+    for t in range(T):
+        if t:
+            row = np.zeros(S, np.longdouble)
+            np.add.at(row, to, alpha[t - 1, frm])
+            row *= p[t]
+        scale[t] = row.sum()
+        alpha[t] = row / scale[t]
+    beta = np.zeros((T, S), np.longdouble)
+    beta[T - 1, graph.final] = 1
+    for t in range(T - 2, -1, -1):
+        np.add.at(beta[t], frm, beta[t + 1, to] * p[t + 1, to])
+        beta[t] /= scale[t + 1]
+    mass = alpha[T - 1, graph.final].sum()
+    gamma = alpha * beta / mass
+    occ = np.zeros((T, logp.shape[1]), np.longdouble)
+    for s in range(S):
+        occ[:, graph.labels[s]] += gamma[:, s]
+    return -float(np.log(scale).sum() + np.log(mass)), occ.astype(np.float64)
 
 
 def viterbi_states(graph, scores: np.ndarray) -> tuple[int, ...]:

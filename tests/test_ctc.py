@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from adsm.ctc import (batch_viterbi, collapse, estimate_prior, log_loss, logsumexp,
-                      sample_path, viterbi)
+from adsm import ctc
+from adsm.ctc import (_log_space_loss, batch_log_loss, batch_viterbi, collapse,
+                      estimate_prior, log_loss, logsumexp, sample_path, viterbi)
 from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import build_word_dag_explicit, build_word_dag_implicit, \
     concat_utterance, ctc_expand, lattice_from_dag
@@ -13,7 +14,7 @@ from adsm.vocab import Vocabulary
 from conftest import (chars_vocab, flagged, implicit_instance, random_logp,
                       random_oracle_instance)
 from _reference import (ctc_loss_single, enumerate_label_paths, enumerate_oracle,
-                        viterbi_states)
+                        forward_backward_extended, viterbi_states)
 
 
 def test_collapse():
@@ -239,6 +240,117 @@ def test_forward_only_loss_equals_full_loss_on_c1_instances():
         loss, occ = log_loss(graph, logp, occupancy=False)
         assert occ is None
         assert loss == log_loss(graph, logp)[0]
+
+
+def test_scaled_sweep_matches_log_space_on_c1_instances():
+    rng = np.random.default_rng(20)     # the instances of acceptance check C1
+    for _ in range(200):
+        lat, vocab, logp = random_oracle_instance(rng)
+        graph = ctc_expand(lat, vocab)
+        loss, occ = log_loss(graph, logp)
+        want, want_occ = _log_space_loss([graph], logp[None], np.array([len(logp)]), True)
+        assert abs(loss - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+        assert np.abs(occ - want_occ[0]).max() <= 1e-12
+
+
+def test_long_utterance_keeps_its_scale():
+    # 60 words over 450 frames: the loss is over 800 nats, so the unscaled
+    # forward mass would underflow (below e^-745) unless frames are rescaled
+    vocab = Vocabulary.from_units(
+        [(c, e) for c in "abc" for e in (False, True)]
+        + [("ab", False), ("ab", True), ("bc", True), ("ca", False)])
+    rng = np.random.default_rng(0)
+    words = rng.choice(["a", "ab", "abc", "cab", "bca"], size=60)
+    graph = ctc_expand(concat_utterance([build_word_dag_implicit(w, vocab) for w in words]),
+                       vocab)
+    T = 450
+    assert graph.min_frames < T
+    logp = random_logp(rng, T, vocab.num_classes)
+    with np.errstate(all="raise"):
+        loss, occ = log_loss(graph, logp)
+    want, want_occ = _log_space_loss([graph], logp[None], np.array([T]), True)
+    exact, exact_occ = forward_backward_extended(graph, logp)
+    assert loss > 800
+    assert abs(loss - want[0]) <= 1e-12 * abs(want[0])
+    assert abs(loss - exact) <= 1e-12 * abs(exact)
+    assert np.abs(occ - exact_occ).max() <= 1e-12
+    # The log-space occupancy exponentiates sums of about 1e3 nats, so its
+    # own error here is about 1e-12 against the extended-precision one.
+    assert np.abs(occ - want_occ[0]).max() <= 1e-11
+
+
+def _underflow_instance():
+    """The "ab" graph at T = 4 with every unit at -1000 and the blank at 0:
+    scaled by each frame's best score, no unit survives the sweep."""
+    vocab = chars_vocab("ab")
+    ids = tuple(vocab.id_of[u] for u in flagged(("a", "b")))
+    graph = ctc_expand(lattice_from_dag(build_word_dag_explicit([ids], vocab)), vocab)
+    logp = np.full((4, vocab.num_classes), -1000.0)
+    logp[:, vocab.blank_id] = 0.0
+    return vocab, ids, graph, logp
+
+
+def _spy_on_fallback(monkeypatch):
+    calls = []
+    fallback = ctc._log_space_loss
+    monkeypatch.setattr(ctc, "_log_space_loss",
+                        lambda graphs, *a: calls.append(list(graphs)) or fallback(graphs, *a))
+    return calls
+
+
+def test_underflowing_block_falls_back_to_log_space(monkeypatch):
+    vocab, ids, graph, logp = _underflow_instance()
+    want, want_occ = _log_space_loss([graph], logp[None], np.array([4]), True)
+    calls = _spy_on_fallback(monkeypatch)
+    loss, occ = log_loss(graph, logp)
+    forward_only, _ = log_loss(graph, logp, occupancy=False)
+    assert calls == [[graph], [graph]]
+    assert loss == forward_only == want[0]
+    assert loss == pytest.approx(2000.0 - math.log(6), rel=1e-12)   # six frame strings
+    assert loss == pytest.approx(ctc_loss_single(logp, ids, vocab.blank_id), rel=1e-12)
+    np.testing.assert_array_equal(occ, want_occ[0])
+    np.testing.assert_allclose(occ.sum(axis=1), 1.0, rtol=1e-12)
+
+
+def test_backward_overflow_falls_back_to_log_space(monkeypatch):
+    # Only the last unit, b_, scores above -300: its label state holds no
+    # forward mass for five frames, each normaliser is about e^-300, and
+    # that state's scaled backward value overflows while the loss is finite.
+    vocab = chars_vocab("ab")
+    ids = tuple(vocab.id_of[u] for u in flagged(("a", "a", "a", "b")))
+    graph = ctc_expand(lattice_from_dag(build_word_dag_explicit([ids], vocab)), vocab)
+    logp = np.full((8, vocab.num_classes), -300.0)
+    logp[:, vocab.id_of[("b", True)]] = 0.0
+    want, want_occ = _log_space_loss([graph], logp[None], np.array([8]), True)
+    calls = _spy_on_fallback(monkeypatch)
+    forward_only, _ = log_loss(graph, logp, occupancy=False)
+    assert calls == []
+    loss, occ = log_loss(graph, logp)
+    assert calls == [[graph]]
+    assert loss == pytest.approx(forward_only, rel=1e-12)
+    assert loss == want[0]
+    np.testing.assert_array_equal(occ, want_occ[0])
+
+
+def test_only_the_underflowing_member_of_a_batch_falls_back(monkeypatch):
+    _, _, graph, tiny = _underflow_instance()
+    rng = np.random.default_rng(151)
+    batch = [implicit_instance(rng, w, max_frames=9) for w in ("abba", "aab")]
+    members = [(ctc_expand(lat, vocab), logp) for lat, vocab, logp in batch]
+    members.insert(1, (graph, tiny))
+    lengths = [len(logp) for _, logp in members]
+    padded = rng.standard_normal((3, max(lengths), tiny.shape[1]))    # finite padding
+    for b, (_, logp) in enumerate(members):
+        padded[b, : len(logp)] = logp
+    single = [batch_log_loss([g], logp[None], [len(logp)]) for g, logp in members]
+    calls = _spy_on_fallback(monkeypatch)
+    losses, occ = batch_log_loss([g for g, _ in members], padded, lengths)
+    assert calls == [[graph]]
+    for b, (loss, one) in enumerate(single):
+        n = lengths[b]
+        assert losses[b] == loss[0]
+        np.testing.assert_array_equal(occ[b, :n], one[0])
+        assert not occ[b, n:].any()
 
 
 def test_logsumexp_of_all_minus_inf_rows_is_minus_inf():

@@ -8,7 +8,7 @@ from adsm.encoder import (CHUNK, EncoderParams, TrainConfig, encode, flatten_par
                           init_params, load_params, resize_output, save_params,
                           set_flat_params, set_subsample, subsampled_length,
                           train, utterance_grads)
-from adsm.ctc import batch_log_loss, log_loss
+from adsm.ctc import _log_space_loss, batch_log_loss, log_loss
 from adsm.errors import FormatError, NumericalError
 from adsm.lattice import (build_word_dag_implicit, concat_utterance, ctc_expand,
                           lattice_from_dag)
@@ -322,6 +322,9 @@ def test_batched_step_equals_per_utterance_calls(factor, radii):
             singles = [utterance_grads(x, g, p) for x, g in batch]
         assert none is None
         assert lengths.tolist() == [subsampled_length(len(x), factor) for x in xs]
+        ref_losses, ref_occ = _log_space_loss(graphs, logp, lengths, True)
+        assert np.all(np.abs(losses - ref_losses) <= 1e-12 * np.maximum(1.0, np.abs(ref_losses)))
+        assert np.abs(occ - ref_occ).max() <= 1e-12
         for b, (x, g) in enumerate(batch):
             n = lengths[b]
             want_loss, want_occ = log_loss(g, encode(x, p))

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from adsm.errors import FormatError
 from adsm.pipeline import VariantStats
-from adsm.vocab import Vocabulary
+from adsm.textseg import BOS, EOS, SubwordNgramLM
+from adsm.vocab import SegMode, SegTable, Vocabulary, marked
 
 # Reproducible runs that leave no example database behind.
 FORMATS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -25,12 +26,12 @@ def saved_lines(obj) -> list[str]:
             return fh.read().splitlines()
 
 
-def load_lines(cls, lines):
+def load_lines(cls, lines, *args):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "mutated.tsv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        return cls.load(path)
+        return cls.load(path, *args)
 
 
 def units(min_size=0):
@@ -103,4 +104,113 @@ def test_variant_stats_rejects_a_bad_line_at_its_number(stats, data):
     lines[i] = "\t".join([word, count, tokens])
     with pytest.raises(FormatError) as err:
         load_lines(VariantStats, lines)
+    assert err.value.line == i + 1
+
+
+def splits(draw, word):
+    """One split of ``word`` into pieces, word-end flag on the last only."""
+    cuts = draw(st.sets(st.integers(1, len(word) - 1))) if len(word) > 1 else set()
+    bounds = [0, *sorted(cuts), len(word)]
+    pieces = [word[a:b] for a, b in zip(bounds, bounds[1:])]
+    return tuple((p, i == len(pieces) - 1) for i, p in enumerate(pieces))
+
+
+@st.composite
+def seg_tables(draw, min_words=0):
+    """An explicit table over distinct words, each with one to three distinct
+    splits whose weights are positive and sum to one, or an implicit one."""
+    words = draw(st.lists(SPELLING, unique=True, min_size=min_words, max_size=5))
+    if draw(st.booleans()) and min_words == 0:
+        return SegTable.implicit(words, Vocabulary([]))
+    variants = {w: list(dict.fromkeys(splits(draw, w) for _ in range(draw(st.integers(1, 3)))))
+                for w in words}
+    vocab = Vocabulary(dict.fromkeys(u for vs in variants.values() for v in vs for u in v))
+    entries = {}
+    for word, vs in variants.items():
+        counts = [draw(st.integers(1, 1000)) for _ in vs]
+        entries[word] = [(tuple(vocab.id_of[u] for u in v), c / sum(counts))
+                         for v, c in zip(vs, counts)]
+    return SegTable.explicit(entries, vocab)
+
+
+@FORMATS
+@given(seg_tables())
+def test_segtable_round_trips(table):
+    lines = saved_lines(table)
+    assert lines[0] == f"#adsm-segtable-v1\tmode={table.mode.value}"
+    loaded = load_lines(SegTable, lines, table.vocab)
+    assert loaded.mode is table.mode
+    assert loaded.entries == table.entries
+
+
+@FORMATS
+@given(seg_tables(min_words=1), st.data())
+def test_segtable_rejects_a_bad_line_at_its_number(table, data):
+    lines = saved_lines(table)
+    i = data.draw(st.integers(1, len(lines) - 1))
+    word, tokens, weight = lines[i].split("\t")
+    how = data.draw(st.sampled_from(["weight", "unit", "fields"]))
+    if how == "weight":
+        weight = data.draw(st.sampled_from(["x", "", "1,0", "0x1"]))
+    elif how == "unit":     # no unit of the vocabulary is spelled with q
+        tokens = data.draw(st.sampled_from(["q_", tokens + " q", "_"]))
+    lines[i] = "\t".join([word, tokens] if how == "fields" else [word, tokens, weight])
+    with pytest.raises(FormatError) as err:
+        load_lines(SegTable, lines, table.vocab)
+    assert err.value.line == i + 1
+
+
+@st.composite
+def language_models(draw, min_rows=0):
+    """A model of order 1 to 3 over the marked units of a vocabulary, with
+    positive counts on distinct (history, event) rows, added in the order
+    the file lists them."""
+    unit_list = draw(units(min_size=1))
+    events = tuple(sorted(marked(u) for u in unit_list)) + (EOS,)
+    order = draw(st.integers(1, 3))
+    lm = SubwordNgramLM(order, draw(st.floats(1e-6, 10.0)), events)
+    history = st.tuples(*[st.sampled_from((BOS,) + events[:-1])] * (order - 1))
+    rows = draw(st.dictionaries(st.tuples(history, st.sampled_from(events)),
+                                st.floats(1e-9, 1e9), min_size=min_rows, max_size=12))
+    for (h, event), count in sorted(rows.items()):
+        lm.add(h, event, count)
+    return lm
+
+
+@FORMATS
+@given(language_models())
+def test_language_model_round_trips(lm):
+    lines = saved_lines(lm)
+    assert lines[0] == "#adsm-lm-v1"
+    loaded = load_lines(SubwordNgramLM, lines)
+    assert (loaded.order, loaded.add_k, loaded.events) == (lm.order, lm.add_k, lm.events)
+    assert loaded.counts == lm.counts
+    assert loaded.totals == lm.totals
+
+
+@FORMATS
+@given(language_models(min_rows=1), st.data())
+def test_language_model_rejects_a_bad_line_at_its_number(lm, data):
+    lines = saved_lines(lm)
+    first_row = next(k for k, line in enumerate(lines) if line.startswith("ngram\t"))
+    i = data.draw(st.integers(1, len(lines) - 1))
+    if i < first_row:       # a metadata line
+        key, value = lines[i].split("\t")
+        lines[i] = data.draw(st.sampled_from([key + "s\t" + value, key, lines[i] + "\t1"]))
+    else:
+        tag, hs, event, count = lines[i].split("\t")
+        how = data.draw(st.sampled_from(
+            ["count", "event", "history", "repeat"] if i > first_row else
+            ["count", "event", "history"]))
+        if how == "count":
+            count = data.draw(st.sampled_from(["0", "-1.5", "x", "inf", "nan"]))
+        elif how == "event":    # no event is spelled with q
+            event = "q_"
+        elif how == "history":  # one symbol too many
+            hs = BOS if hs == "-" else hs + " " + BOS
+        else:   # an earlier row again
+            tag, hs, event, count = lines[data.draw(st.integers(first_row, i - 1))].split("\t")
+        lines[i] = "\t".join([tag, hs, event, count])
+    with pytest.raises(FormatError) as err:
+        load_lines(SubwordNgramLM, lines)
     assert err.value.line == i + 1
