@@ -1,20 +1,22 @@
 """Exact dynamic programming over frame-transition graphs.
 
-The training loss's forward-backward runs in linear space with per-block
-scaling (Rabiner 1989): emissions are divided by their per-frame maximum,
-forward rows are renormalised every frame, and the loss is the sum of the
-logs of the normalisers and shifts.  A path whose partial mass falls below
-about e^-708 of its utterance's at some frame is lost; an utterance whose
-loss or occupancy comes out non-finite that way is recomputed in log space.
-Viterbi, sampling and that fallback share one log-space frame loop over the
-graph's padded neighbour tables; it differs only in its reduction
-(log-sum-exp or max), so each DP step is a single vectorized gather and
-reduction.
+Every DP stacks its B graphs block-diagonally, one block per utterance, and
+steps through the frames over the blocks' padded neighbour tables, so each
+step is a single vectorized gather and reduction.  The training loss's
+forward-backward runs in linear space with per-block scaling (Rabiner 1989):
+emissions are divided by their per-frame maximum, forward rows are
+renormalised every frame, and the loss is the sum of the logs of the
+normalisers and shifts.  A path whose partial mass falls below about e^-708
+of its utterance's at some frame is lost; an utterance whose loss or
+occupancy comes out non-finite that way is recomputed in log space.  Both
+spaces share one backward loop, which runs in natural frame order and starts
+each block at its own last frame; no frames are reversed.  Viterbi, sampling
+and the log-space forward share one frame loop that differs only in its
+reduction (log-sum-exp or max).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -57,38 +59,36 @@ def _check_posteriors(logp: np.ndarray) -> np.ndarray:
     return logp
 
 
-def _check_feasible(graph: CtcGraph, n_frames: int) -> None:
-    if n_frames < graph.min_frames:
-        raise InfeasibleUtteranceError(
-            f"{n_frames} frames < minimal alignment length {graph.min_frames}")
-
-
 def logsumexp(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """log(sum(exp(x))) along ``axis`` (kept as a length-1 axis), shifted by
     the maximum.  A slice that is all -inf gives -inf: its shift is 0, so no
-    NaN and no floating-point warning arises."""
+    NaN arises.  Terms far below the maximum are meant to underflow to 0, so
+    no floating-point warning arises either."""
     m = x.max(axis=axis, keepdims=True)
     m[m == -np.inf] = 0.0
-    s = np.exp(x - m).sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        return np.log(s) + m
+    with np.errstate(divide="ignore", under="ignore"):
+        return np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
 
 
 def _max(x: np.ndarray) -> np.ndarray:
     return x.max(axis=0)
 
 
-def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np.ndarray:
-    """The log-space frame loop: row 0 is 0 on the ``first`` states,
-    and row t reduces ``row[t-1] + emit[t-1]`` over each state's neighbours
-    in ``table``.  With the predecessor table and ``logsumexp`` this is the
-    forward pass without the current frame's score, with ``max`` the Viterbi
-    pass; the successor table over reversed frames gives the backward pass."""
-    rows = np.full(emit.shape, -np.inf)
-    rows[0, first] = 0.0
-    for t in range(1, len(rows)):
-        rows[t, :-1] = reduce((rows[t - 1] + emit[t - 1])[table])
-    return rows
+def _stack(graphs: Sequence[CtcGraph], lengths: np.ndarray):
+    """The graphs stacked block-diagonally, each checked against its frame
+    count: (block offsets, owner block and label of each state, offset
+    initial and final states, and the predecessor table)."""
+    for graph, n in zip(graphs, lengths):
+        if n < graph.min_frames:
+            raise InfeasibleUtteranceError(
+                f"{n} frames < minimal alignment length {graph.min_frames}")
+    sizes = [g.n_states for g in graphs]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(len(graphs)), sizes)
+    labels = np.concatenate([g.labels for g in graphs])
+    first = np.concatenate([g.initial + o for g, o in zip(graphs, offsets)])
+    final = np.concatenate([g.final + o for g, o in zip(graphs, offsets)])
+    return offsets, owner, labels, first, final, _block_table([g.pred for g in graphs], offsets)
 
 
 def _block_table(tables: Sequence[np.ndarray], offsets: np.ndarray) -> np.ndarray:
@@ -97,7 +97,6 @@ def _block_table(tables: Sequence[np.ndarray], offsets: np.ndarray) -> np.ndarra
     A single table is its own union."""
     if len(tables) == 1:
         return tables[0]
-    offsets = np.asarray(offsets)
     S = offsets[-1]
     out = np.full((max(t.shape[0] for t in tables), S), S, dtype=np.intp)
     for t, lo, hi in zip(tables, offsets[:-1], offsets[1:]):
@@ -106,38 +105,50 @@ def _block_table(tables: Sequence[np.ndarray], offsets: np.ndarray) -> np.ndarra
     return np.where(out < np.repeat(sizes, sizes), out + np.repeat(offsets[:-1], sizes), S)
 
 
-def _flip(rows: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Each column's frames 0..last reversed, -inf after them and in the
-    sentinel slot: its own inverse on those frames."""
-    src = last - np.arange(len(rows))[:, None]
-    out = np.full(rows.shape, -np.inf)
-    out[:, :-1] = np.where(src >= 0, np.take_along_axis(rows[:, :-1], np.maximum(src, 0), 0),
-                           -np.inf)
-    return out
-
-
-def _stack(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.ndarray):
-    """The graphs stacked block-diagonally: (offsets, owner block of each
-    state, each state's last frame, and the (T, S + 1) emission scores, -inf
-    in the sentinel's slot)."""
-    for graph, n in zip(graphs, lengths):
-        _check_feasible(graph, n)
-    sizes = [g.n_states for g in graphs]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    owner = np.repeat(np.arange(len(graphs)), sizes)
-    labels = np.concatenate([g.labels for g in graphs])
-    emit = np.full((logp.shape[1], offsets[-1] + 1), -np.inf)
+def _emissions(logp: np.ndarray, owner: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(T, S + 1) score of each stacked state's label in its own block's
+    rows of the (B, T, C) ``logp``, -inf in the sentinel's slot."""
+    emit = np.full((logp.shape[1], len(owner) + 1), -np.inf)
     emit[:, :-1] = logp[owner, :, labels].T
-    return offsets, owner, lengths[owner] - 1, emit
+    return emit
 
 
-def _occupancy(gamma: np.ndarray, graphs: Sequence[CtcGraph], owner: np.ndarray,
+def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np.ndarray:
+    """The log-space forward loop: row 0 is 0 on the ``first`` states, and
+    row t reduces ``row[t-1] + emit[t-1]`` over each state's predecessors in
+    ``table``.  With ``logsumexp`` this is the forward pass without the
+    current frame's score, with ``max`` the Viterbi pass."""
+    rows = np.full(emit.shape, -np.inf)
+    rows[0, first] = 0.0
+    for t in range(1, len(rows)):
+        rows[t, :-1] = reduce((rows[t - 1] + emit[t - 1])[table])
+    return rows
+
+
+def _backward(graphs: Sequence[CtcGraph], offsets: np.ndarray, final: np.ndarray,
+              ends: np.ndarray, beta: np.ndarray, one: float, step) -> np.ndarray:
+    """The backward pass into ``beta`` ((T, S + 1), filled with the zero of
+    its space) in natural frame order: row t is ``step(row[t+1], t + 1,
+    table)`` over the block-diagonal successor ``table``, then the ``final``
+    states whose block's last frame (``ends``) is t are set to ``one``.  A
+    block's rows after its last frame carry no mass (in linear space they
+    may hold NaN, should its forward pass die out in the padding)."""
+    table = _block_table([g.succ for g in graphs], offsets)
+    last_frames = set(ends.tolist())
+    for t in range(len(beta) - 1, -1, -1):
+        if t < len(beta) - 1:
+            beta[t, :-1] = step(beta[t + 1], t + 1, table)
+        if t in last_frames:
+            beta[t, final[ends == t]] = one
+    return beta
+
+
+def _occupancy(gamma: np.ndarray, owner: np.ndarray, labels: np.ndarray,
                shape: tuple[int, int, int]) -> np.ndarray:
     """(B, T, C) class occupancy from the (T, S) state occupancy: each
     (utterance, class, frame) cell sums its states in state order."""
     B, T, C = shape
-    key = owner * C + np.concatenate([g.labels for g in graphs])
-    cells = key * T + np.arange(T)[:, None]
+    cells = (owner * C + labels) * T + np.arange(T)[:, None]
     occ = np.bincount(cells.ravel(), weights=gamma.ravel(), minlength=B * C * T)
     return occ.reshape(B, C, T).transpose(0, 2, 1)
 
@@ -145,22 +156,22 @@ def _occupancy(gamma: np.ndarray, graphs: Sequence[CtcGraph], owner: np.ndarray,
 def _log_space_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.ndarray,
                     occupancy: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`batch_log_loss` with every quantity in log space: the
-    fallback for blocks whose scaled sweep underflows.  The backward pass
-    runs over each utterance's own reversed frames."""
-    offsets, owner, last, emit = _stack(graphs, logp, lengths)
-    first = np.concatenate([g.initial + o for g, o in zip(graphs, offsets)])
-    alpha = _sweep(_block_table([g.pred for g in graphs], offsets), first, emit, logsumexp) + emit
-    totals = np.array([logsumexp(alpha[n - 1, g.final + o]).item()
-                       for g, n, o in zip(graphs, lengths, offsets)])
+    fallback for blocks whose scaled sweep underflows.  Same stack and same
+    backward loop; only the per-frame gather reduces by log-sum-exp."""
+    offsets, owner, labels, first, final, pred = _stack(graphs, lengths)
+    emit = _emissions(logp, owner, labels)
+    ends = lengths[owner[final]] - 1
+    alpha = _sweep(pred, first, emit, logsumexp) + emit
+    per_block = np.searchsorted(owner[final], np.arange(1, len(graphs)))
+    totals = np.array([logsumexp(v).item() for v in np.split(alpha[ends, final], per_block)])
     if not np.all(np.isfinite(totals)):
         raise NumericalError("all accepted paths carry zero probability")
     if not occupancy:
         return -totals, None
-    final = np.concatenate([g.final + o for g, o in zip(graphs, offsets)])
-    beta = _flip(_sweep(_block_table([g.succ for g in graphs], offsets), final,
-                        _flip(emit, last), logsumexp), last)
+    beta = _backward(graphs, offsets, final, ends, np.full(emit.shape, -np.inf), 0.0,
+                     lambda row, t, table: logsumexp((row + emit[t])[table]))
     gamma = np.exp(alpha[:, :-1] + beta[:, :-1] - totals[owner])   # (T, S) state occupancy
-    return -totals, _occupancy(gamma, graphs, owner, logp.shape)
+    return -totals, _occupancy(gamma, owner, labels, logp.shape)
 
 
 def batch_log_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: Sequence[int],
@@ -180,24 +191,35 @@ def batch_log_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: Sequen
     non-finite that way is recomputed in log space."""
     B = logp.shape[0]
     lengths = np.asarray(lengths)
-    offsets, owner, last, emit = _stack(graphs, logp, lengths)
+    offsets, owner, labels, first, final, pred = _stack(graphs, lengths)
     starts = offsets[:-1]
-    final = np.concatenate([g.final + o for g, o in zip(graphs, offsets)])
+    emit = _emissions(logp, owner, labels)
+    ends = lengths[owner[final]] - 1
     with np.errstate(all="ignore"):     # underflow shows as a non-finite result
         scale = np.maximum.reduceat(emit[:, :-1], starts, axis=1)       # (T, B)
         e = np.zeros(emit.shape)        # the sentinel's slot stays 0
         e[:, :-1] = np.exp(emit[:, :-1] - scale[:, owner])
-        alpha, norm = _scaled_forward(graphs, offsets, owner, e)
-        fin = np.bincount(owner[final], alpha[last[final], final], B)
+        alpha = np.zeros(e.shape)       # forward rows, each block summing to 1
+        norm = np.empty((len(e), B))
+        v = np.zeros(offsets[-1])
+        v[first] = e[0, first]
+        for t in range(len(e)):
+            if t:
+                v = alpha[t - 1][pred].sum(0) * e[t, :-1]
+            norm[t] = np.add.reduceat(v, starts)
+            alpha[t, :-1] = v / norm[t][owner]
+        fin = np.bincount(owner[final], alpha[ends, final], B)
         totals = (np.cumsum(np.log(norm) + scale, axis=0)[lengths - 1, np.arange(B)]
                   + np.log(fin))
         ok = np.isfinite(totals)
         occ = None
         if occupancy:
-            beta = _scaled_backward(graphs, offsets, lengths, e, norm[:, owner])
+            state_norm = norm[:, owner]
+            beta = _backward(graphs, offsets, final, ends, np.zeros(e.shape), 1.0,
+                             lambda row, t, table: (row * e[t])[table].sum(0) / state_norm[t])
             gamma = alpha[:, :-1] * beta[:, :-1] / fin[owner]      # (T, S) state occupancy
             ok &= np.logical_and.reduceat(np.isfinite(gamma).all(axis=0), starts)
-            occ = _occupancy(gamma, graphs, owner, logp.shape)
+            occ = _occupancy(gamma, owner, labels, logp.shape)
     losses = -totals
     if not ok.all():
         bad = np.flatnonzero(~ok)
@@ -206,45 +228,6 @@ def batch_log_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: Sequen
         if occupancy:
             occ[bad] = redone
     return losses, occ
-
-
-def _scaled_forward(graphs: Sequence[CtcGraph], offsets: np.ndarray, owner: np.ndarray,
-                    e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (T, S + 1) forward pass over scaled emissions ``e``, each block's
-    row renormalised to sum 1, and the (T, B) normalisers."""
-    T, B = len(e), len(graphs)
-    table = _block_table([g.pred for g in graphs], offsets)
-    alpha = np.zeros(e.shape)           # the sentinel's slot stays 0
-    norm = np.empty((T, B))
-    first = np.concatenate([g.initial + o for g, o in zip(graphs, offsets)])
-    v = np.zeros(offsets[-1])
-    v[first] = e[0, first]
-    for t in range(T):
-        if t:
-            v = alpha[t - 1][table].sum(0) * e[t, :-1]
-        norm[t] = np.add.reduceat(v, offsets[:-1])
-        alpha[t, :-1] = v / norm[t][owner]
-    return alpha, norm
-
-
-def _scaled_backward(graphs: Sequence[CtcGraph], offsets: np.ndarray, lengths: np.ndarray,
-                     e: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """The (T, S + 1) backward pass over scaled emissions ``e``, divided by
-    the forward pass's per-state normalisers ``norm``.  It runs in natural
-    frame order, each block's final states set to 1 at its own last frame,
-    so no frame reversal is needed.  A block's rows after that frame are 0,
-    or NaN should its forward pass die out in the padding."""
-    starting: dict[int, list[np.ndarray]] = {}
-    for g, o, n in zip(graphs, offsets, lengths):
-        starting.setdefault(int(n) - 1, []).append(g.final + o)
-    table = _block_table([g.succ for g in graphs], offsets)
-    beta = np.zeros(e.shape)            # the sentinel's slot stays 0
-    for t in range(len(e) - 1, -1, -1):
-        if t < len(e) - 1:
-            beta[t, :-1] = (beta[t + 1] * e[t + 1])[table].sum(0) / norm[t + 1]
-        if t in starting:
-            beta[t, np.concatenate(starting[t])] = 1.0
-    return beta
 
 
 def log_loss(graph: CtcGraph, logp: np.ndarray,
@@ -270,21 +253,19 @@ def _trace(graphs: Sequence[CtcGraph], scores: Sequence[np.ndarray], reduce,
     frame.  ``pick`` maps a (k, B) array of candidate scores to one row index
     per column: first a final state, then, once per frame, each path's
     earlier state among the predecessors of its later one."""
-    lengths = [len(s) for s in scores]
-    for graph, n in zip(graphs, lengths):
-        _check_feasible(graph, n)
-    B, T = len(graphs), max(lengths)
-    offsets = [0, *itertools.accumulate(g.n_states for g in graphs)]
+    lengths = np.array([len(s) for s in scores])
+    offsets, owner, _, first, final, table = _stack(graphs, lengths)
+    B, T = len(graphs), lengths.max()
     emit = np.full((T, offsets[-1] + 1), -np.inf)      # with the sentinel's slot
-    finals = np.full((max(len(g.final) for g in graphs), B), offsets[-1])
-    for b, (graph, s, lo, hi) in enumerate(zip(graphs, scores, offsets, offsets[1:])):
+    for graph, s, lo, hi in zip(graphs, scores, offsets, offsets[1:]):
         emit[: len(s), lo:hi] = s[:, graph.labels]
-        finals[: len(graph.final), b] = graph.final + lo
-    table = _block_table([g.pred for g in graphs], offsets)
-    first = np.concatenate([g.initial + o for g, o in zip(graphs, offsets)])
     score = _sweep(table, first, emit, reduce)
     score += emit
-    last, cols = np.subtract(lengths, 1), np.arange(B)
+    block = owner[final]    # each block's final states down its own column
+    rank = np.arange(len(final)) - np.searchsorted(block, block)
+    finals = np.full((rank.max() + 1, B), offsets[-1])
+    finals[rank, block] = final
+    last, cols = lengths - 1, np.arange(B)
     ends = score[last, finals]
     if (ends.max(0) == -np.inf).any():
         raise InfeasibleUtteranceError("no accepted path of this length")
@@ -388,5 +369,6 @@ def sample_path(graph: CtcGraph, logp: np.ndarray, temperature: float = 1.0,
 
 def _draw(logw: np.ndarray, rng: np.random.Generator) -> int:
     """Index drawn with weight exp(logw); -inf entries are never drawn."""
-    w = np.exp(logw - logw.max()).cumsum()
+    with np.errstate(under="ignore"):     # weights far below the largest are 0
+        w = np.exp(logw - logw.max()).cumsum()
     return int(w.searchsorted(rng.random() * w[-1], side="right"))

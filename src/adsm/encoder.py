@@ -12,7 +12,7 @@ bitwise reproducible.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +63,16 @@ class EncoderParams:
     biases: list[np.ndarray]
     out_w: np.ndarray            # (H_last, num_classes)
     out_b: np.ndarray
-    pool_after: tuple[int, ...] = field(default=())
+
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValueError("need at least two output classes")
+        _pool_schedule(self.subsample_factor, len(self.weights))
+
+    @property
+    def pool_after(self) -> tuple[int, ...]:
+        """The hidden layer after which each factor-2 pool stage runs."""
+        return _pool_schedule(self.subsample_factor, len(self.weights))
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
@@ -87,8 +96,6 @@ def init_params(input_dim: int, hidden_sizes: Sequence[int], num_classes: int,
                 subsample_factor: int = 1, radii: Sequence[int] | None = None,
                 seed: int = 0) -> EncoderParams:
     """Fresh parameters with scaled-gaussian weights."""
-    if num_classes < 2:
-        raise ValueError("need at least two output classes")
     if not hidden_sizes:
         raise ValueError("need at least one hidden layer")
     radii = tuple(radii) if radii is not None else tuple(1 for _ in hidden_sizes)
@@ -105,28 +112,20 @@ def init_params(input_dim: int, hidden_sizes: Sequence[int], num_classes: int,
     out_w = rng.standard_normal((d, num_classes)) / np.sqrt(d)
     out_b = np.zeros(num_classes)
     return EncoderParams(input_dim, num_classes, subsample_factor, radii,
-                         weights, biases, out_w, out_b,
-                         _pool_schedule(subsample_factor, len(hidden_sizes)))
+                         weights, biases, out_w, out_b)
 
 
-def resize_output(params: EncoderParams, num_classes: int, seed: int = 0,
-                  keep_lower: bool = False) -> EncoderParams:
-    """Parameters for a changed class inventory.
-
-    By default the whole stack is reinitialized (each stage trains a fresh
-    model); ``keep_lower`` retains the hidden layers and renews only the
-    output projection.
-    """
-    if num_classes < 2:
-        raise ValueError("need at least two output classes")
-    if not keep_lower:
-        return init_params(params.input_dim, params.hidden_sizes, num_classes,
-                           params.subsample_factor, params.radii, seed)
+def resize_output(params: EncoderParams, num_classes: int, subsample_factor: int,
+                  seed: int = 0) -> EncoderParams:
+    """Parameters for a changed class inventory and subsampling factor: the
+    hidden layers are kept (copied), the pool stages redistributed over
+    them, and only the output projection is renewed."""
     rng = np.random.default_rng(seed)
     d = params.hidden_sizes[-1]
     return replace(
         params,
         num_classes=num_classes,
+        subsample_factor=subsample_factor,
         weights=[w.copy() for w in params.weights],
         biases=[b.copy() for b in params.biases],
         out_w=rng.standard_normal((d, num_classes)) / np.sqrt(d),
@@ -165,12 +164,6 @@ def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     flat = _rows(x)
     out = (np.concatenate([flat, flat]) @ w)[:1] if len(flat) == 1 else flat @ w
     return out.reshape(*x.shape[:-1], w.shape[1])
-
-
-def set_subsample(params: EncoderParams, factor: int) -> None:
-    """Change the temporal reduction in place, redistributing pool stages."""
-    params.subsample_factor = factor
-    params.pool_after = _pool_schedule(factor, len(params.weights))
 
 
 def subsampled_length(T: int, factor: int) -> int:
@@ -407,6 +400,7 @@ def load_params(path) -> EncoderParams:
         factor = int(meta["subsample_factor"])
         radii = tuple(int(v) for v in meta["radii"].split())
         hidden = tuple(int(v) for v in meta["hidden"].split())
+        params = init_params(input_dim, hidden, num_classes, factor, radii)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad checkpoint metadata: {exc}", path=path) from exc
     arrays = {}
@@ -426,7 +420,6 @@ def load_params(path) -> EncoderParams:
             raise FormatError(f"array {name} holds non-finite values", path=path)
         arrays[name] = vals.reshape(shape)
         pos += 1 + n
-    params = init_params(input_dim, hidden, num_classes, factor, radii)
     for name, arr in _named_arrays(params):
         if name not in arrays or arrays[name].shape != arr.shape:
             raise FormatError(f"array {name} missing or misshaped", path=path)

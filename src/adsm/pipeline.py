@@ -16,8 +16,7 @@ import numpy as np
 from . import corpus as corpus_io
 from .ctc import batch_viterbi, estimate_prior
 from .encoder import (CHUNK, EncoderParams, TrainConfig, encode, init_params,
-                      resize_output, save_params, set_subsample,
-                      subsampled_length, train)
+                      resize_output, save_params, subsampled_length, train)
 from .errors import FormatError
 from .lattice import (UttLattice, build_word_dag_explicit,
                       build_word_dag_implicit, concat_utterance, expand_lattices)
@@ -360,8 +359,7 @@ def run_pipeline(corp: corpus_io.Corpus, entries, config: PipelineConfig,
             params = init_params(_input_dim(corp), config.hidden,
                                  vocab.num_classes, factor, config.radii, seed)
         else:
-            params = resize_output(params, vocab.num_classes, seed, keep_lower=True)
-            set_subsample(params, factor)
+            params = resize_output(params, vocab.num_classes, factor, seed)
         dataset = build_dataset(corp, vocab, table)
         graphs = expand_lattices([lat for _, lat in dataset], vocab)
         tr = train([(feats, g) for (feats, _), g in zip(dataset, graphs)], params,

@@ -279,13 +279,13 @@ def test_long_utterance_keeps_its_scale():
     assert np.abs(occ - want_occ[0]).max() <= 1e-11
 
 
-def _underflow_instance():
-    """The "ab" graph at T = 4 with every unit at -1000 and the blank at 0:
-    scaled by each frame's best score, no unit survives the sweep."""
+def _underflow_instance(T=4):
+    """The "ab" graph over T frames with every unit at -1000 and the blank
+    at 0: scaled by each frame's best score, no unit survives the sweep."""
     vocab = chars_vocab("ab")
     ids = tuple(vocab.id_of[u] for u in flagged(("a", "b")))
     graph = ctc_expand(lattice_from_dag(build_word_dag_explicit([ids], vocab)), vocab)
-    logp = np.full((4, vocab.num_classes), -1000.0)
+    logp = np.full((T, vocab.num_classes), -1000.0)
     logp[:, vocab.blank_id] = 0.0
     return vocab, ids, graph, logp
 
@@ -351,6 +351,45 @@ def test_only_the_underflowing_member_of_a_batch_falls_back(monkeypatch):
         assert losses[b] == loss[0]
         np.testing.assert_array_equal(occ[b, :n], one[0])
         assert not occ[b, n:].any()
+
+
+def test_batch_of_several_falling_back_members(monkeypatch):
+    # Three blocks fall back together, each ending at its own frame, so the
+    # log-space backward must start each block at that block's last frame.
+    rng = np.random.default_rng(157)
+    tiny = [_underflow_instance(T) for T in (4, 6, 7)]
+    lat, vocab, logp = implicit_instance(rng, "abba", max_frames=9)
+    members = [(g, lp) for _, _, g, lp in tiny]
+    members.insert(2, (ctc_expand(lat, vocab), logp))
+    lengths = [len(logp) for _, logp in members]
+    padded = rng.standard_normal((len(members), max(lengths), vocab.num_classes))
+    for b, (_, logp) in enumerate(members):
+        padded[b, : len(logp)] = logp
+    single = [batch_log_loss([g], logp[None], [len(logp)]) for g, logp in members]
+    calls = _spy_on_fallback(monkeypatch)
+    losses, occ = batch_log_loss([g for g, _ in members], padded, lengths)
+    assert calls == [[g for _, _, g, _ in tiny]]
+    for b, ((g, logp), (loss, one)) in enumerate(zip(members, single)):
+        n = lengths[b]
+        assert losses[b] == loss[0]
+        np.testing.assert_array_equal(occ[b, :n], one[0])
+        assert not occ[b, n:].any()
+        exact, exact_occ = forward_backward_extended(g, logp)
+        assert abs(losses[b] - exact) <= 1e-12 * abs(exact)
+        assert np.abs(occ[b, :n] - exact_occ).max() <= 1e-12
+
+
+def test_underflowing_instance_raises_no_floating_point_warning():
+    # exp underflowing to 0 far below a frame's maximum is the intended value
+    _, ids, graph, logp = _underflow_instance()
+    with np.errstate(all="raise"):
+        loss, occ = log_loss(graph, logp)
+        forward_only, _ = log_loss(graph, logp, occupancy=False)
+        drawn = sample_path(graph, logp, rng=0)
+        ali = viterbi(graph, logp)
+    assert loss == forward_only == pytest.approx(2000.0 - math.log(6), rel=1e-12)
+    np.testing.assert_allclose(occ.sum(axis=1), 1.0, rtol=1e-12)
+    assert drawn.collapsed == ali.collapsed == ids
 
 
 def test_logsumexp_of_all_minus_inf_rows_is_minus_inf():

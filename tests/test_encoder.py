@@ -6,8 +6,7 @@ import pytest
 from adsm import encoder
 from adsm.encoder import (CHUNK, EncoderParams, TrainConfig, encode, flatten_params,
                           init_params, load_params, resize_output, save_params,
-                          set_flat_params, set_subsample, subsampled_length,
-                          train, utterance_grads)
+                          set_flat_params, subsampled_length, train, utterance_grads)
 from adsm.ctc import _log_space_loss, batch_log_loss, log_loss
 from adsm.errors import FormatError, NumericalError
 from adsm.lattice import (build_word_dag_implicit, concat_utterance, ctc_expand,
@@ -219,25 +218,24 @@ def test_train_expands_lattices_and_rejects_other_items():
         train(data + [(data[0][0], "ab")], p1, cfg, vocab)
 
 
-def test_resize_output_modes():
-    p = init_params(3, (6, 4), 5, subsample_factor=2, seed=11)
-    fresh = resize_output(p, 8, seed=12)
-    assert fresh.num_classes == 8
-    assert fresh.out_w.shape == (4, 8)
-    assert not np.array_equal(fresh.weights[0], p.weights[0])
-    warm = resize_output(p, 8, seed=12, keep_lower=True)
-    np.testing.assert_array_equal(warm.weights[0], p.weights[0])
-    np.testing.assert_array_equal(warm.biases[1], p.biases[1])
-    assert warm.out_w.shape == (4, 8)
-    assert warm.subsample_factor == p.subsample_factor
-
-
-def test_set_subsample_redistributes_pools():
+def test_resize_output_keeps_hidden_layers_and_redistributes_pools():
     p = init_params(3, (6, 4), 5, subsample_factor=2, seed=11)
     assert p.pool_after == (0,)
-    set_subsample(p, 4)
-    assert p.subsample_factor == 4
-    assert p.pool_after == (0, 1)
+    q = resize_output(p, 8, 4, seed=12)
+    for got, kept in zip(q.weights + q.biases, p.weights + p.biases):
+        np.testing.assert_array_equal(got, kept)
+        assert got is not kept
+    assert (q.num_classes, q.subsample_factor, q.pool_after) == (8, 4, (0, 1))
+    assert (p.num_classes, p.subsample_factor, p.pool_after) == (5, 2, (0,))
+    np.testing.assert_array_equal(
+        q.out_w, np.random.default_rng(12).standard_normal((4, 8)) / np.sqrt(4))
+    np.testing.assert_array_equal(q.out_b, np.zeros(8))
+    assert encode(np.ones((9, 3)), q).shape == (3, 8)
+    for factor in (0, 3, 6):
+        with pytest.raises(ValueError, match="power of two"):
+            resize_output(p, 8, factor)
+    with pytest.raises(ValueError, match="output classes"):
+        resize_output(p, 1, 2)
 
 
 def test_params_save_load_round_trip(tmp_path):
@@ -265,6 +263,13 @@ def test_params_load_rejects_bad_files(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(FormatError):
         load_params(path)
+    for key, bad in (("subsample_factor", "3"), ("num_classes", "1"), ("radii", "1 1"),
+                     ("hidden", "")):
+        edited = [f"{key}\t{bad}" if l.startswith(key + "\t") else l for l in lines]
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(FormatError, match="metadata") as err:
+            load_params(path)
+        assert err.value.path == path
 
 
 def test_params_load_rejects_non_finite_values_and_bad_array_lines(tmp_path):

@@ -7,6 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adsm.encoder import flatten_params, init_params, load_params, save_params, set_flat_params
 from adsm.errors import FormatError
 from adsm.pipeline import VariantStats
 from adsm.textseg import BOS, EOS, SubwordNgramLM
@@ -18,20 +19,22 @@ FORMATS = settings(max_examples=60, deadline=None, derandomize=True, database=No
 SPELLING = st.text(alphabet="abcxyzé", min_size=1, max_size=4)
 
 
-def saved_lines(obj) -> list[str]:
+def saved_lines(save) -> list[str]:
+    """The lines of the file that ``save(path)`` writes."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "saved.tsv")
-        obj.save(path)
+        save(path)
         with open(path, encoding="utf-8") as fh:
             return fh.read().splitlines()
 
 
-def load_lines(cls, lines, *args):
+def load_lines(load, lines, *args):
+    """``load(path, *args)`` of a file holding ``lines``."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "mutated.tsv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        return cls.load(path, *args)
+        return load(path, *args)
 
 
 def units(min_size=0):
@@ -43,15 +46,15 @@ def units(min_size=0):
 @given(units())
 def test_vocabulary_round_trips(unit_list):
     vocab = Vocabulary(unit_list)
-    lines = saved_lines(vocab)
+    lines = saved_lines(vocab.save)
     assert lines[0] == "#adsm-vocab-v1"
-    assert load_lines(Vocabulary, lines).units == vocab.units
+    assert load_lines(Vocabulary.load, lines).units == vocab.units
 
 
 @FORMATS
 @given(units(min_size=2), st.data())
 def test_vocabulary_rejects_a_bad_line_at_its_number(unit_list, data):
-    lines = saved_lines(Vocabulary(unit_list))
+    lines = saved_lines(Vocabulary(unit_list).save)
     i, j = sorted(data.draw(st.lists(st.integers(1, len(lines) - 1), min_size=2,
                                      max_size=2, unique=True)))
     spelling, _, uid = lines[j].split("\t")
@@ -63,7 +66,7 @@ def test_vocabulary_rejects_a_bad_line_at_its_number(unit_list, data):
         lines[j] = "\t".join(lines[i].split("\t")[:2] + [uid])
         match = "duplicate unit"
     with pytest.raises(FormatError, match=match) as err:
-        load_lines(Vocabulary, lines)
+        load_lines(Vocabulary.load, lines)
     assert err.value.line == j + 1
 
 
@@ -84,9 +87,9 @@ def variant_stats(draw, min_words=0):
 @FORMATS
 @given(variant_stats())
 def test_variant_stats_round_trip(stats):
-    lines = saved_lines(stats)
+    lines = saved_lines(stats.save)
     assert lines[0] == "#adsm-stats-v1"
-    loaded = load_lines(VariantStats, lines)
+    loaded = load_lines(VariantStats.load, lines)
     assert loaded.counts == stats.counts
     assert loaded.word_total == stats.word_total
 
@@ -94,7 +97,7 @@ def test_variant_stats_round_trip(stats):
 @FORMATS
 @given(variant_stats(min_words=1), st.data())
 def test_variant_stats_rejects_a_bad_line_at_its_number(stats, data):
-    lines = saved_lines(stats)
+    lines = saved_lines(stats.save)
     i = data.draw(st.integers(1, len(lines) - 1))
     word, count, tokens = lines[i].split("\t")
     if data.draw(st.booleans()):
@@ -103,7 +106,7 @@ def test_variant_stats_rejects_a_bad_line_at_its_number(stats, data):
         word += data.draw(SPELLING)
     lines[i] = "\t".join([word, count, tokens])
     with pytest.raises(FormatError) as err:
-        load_lines(VariantStats, lines)
+        load_lines(VariantStats.load, lines)
     assert err.value.line == i + 1
 
 
@@ -136,9 +139,9 @@ def seg_tables(draw, min_words=0):
 @FORMATS
 @given(seg_tables())
 def test_segtable_round_trips(table):
-    lines = saved_lines(table)
+    lines = saved_lines(table.save)
     assert lines[0] == f"#adsm-segtable-v1\tmode={table.mode.value}"
-    loaded = load_lines(SegTable, lines, table.vocab)
+    loaded = load_lines(SegTable.load, lines, table.vocab)
     assert loaded.mode is table.mode
     assert loaded.entries == table.entries
 
@@ -146,7 +149,7 @@ def test_segtable_round_trips(table):
 @FORMATS
 @given(seg_tables(min_words=1), st.data())
 def test_segtable_rejects_a_bad_line_at_its_number(table, data):
-    lines = saved_lines(table)
+    lines = saved_lines(table.save)
     i = data.draw(st.integers(1, len(lines) - 1))
     word, tokens, weight = lines[i].split("\t")
     how = data.draw(st.sampled_from(["weight", "unit", "fields"]))
@@ -156,7 +159,7 @@ def test_segtable_rejects_a_bad_line_at_its_number(table, data):
         tokens = data.draw(st.sampled_from(["q_", tokens + " q", "_"]))
     lines[i] = "\t".join([word, tokens] if how == "fields" else [word, tokens, weight])
     with pytest.raises(FormatError) as err:
-        load_lines(SegTable, lines, table.vocab)
+        load_lines(SegTable.load, lines, table.vocab)
     assert err.value.line == i + 1
 
 
@@ -180,9 +183,9 @@ def language_models(draw, min_rows=0):
 @FORMATS
 @given(language_models())
 def test_language_model_round_trips(lm):
-    lines = saved_lines(lm)
+    lines = saved_lines(lm.save)
     assert lines[0] == "#adsm-lm-v1"
-    loaded = load_lines(SubwordNgramLM, lines)
+    loaded = load_lines(SubwordNgramLM.load, lines)
     assert (loaded.order, loaded.add_k, loaded.events) == (lm.order, lm.add_k, lm.events)
     assert loaded.counts == lm.counts
     assert loaded.totals == lm.totals
@@ -191,7 +194,7 @@ def test_language_model_round_trips(lm):
 @FORMATS
 @given(language_models(min_rows=1), st.data())
 def test_language_model_rejects_a_bad_line_at_its_number(lm, data):
-    lines = saved_lines(lm)
+    lines = saved_lines(lm.save)
     first_row = next(k for k, line in enumerate(lines) if line.startswith("ngram\t"))
     i = data.draw(st.integers(1, len(lines) - 1))
     if i < first_row:       # a metadata line
@@ -212,5 +215,67 @@ def test_language_model_rejects_a_bad_line_at_its_number(lm, data):
             tag, hs, event, count = lines[data.draw(st.integers(first_row, i - 1))].split("\t")
         lines[i] = "\t".join([tag, hs, event, count])
     with pytest.raises(FormatError) as err:
-        load_lines(SubwordNgramLM, lines)
+        load_lines(SubwordNgramLM.load, lines)
     assert err.value.line == i + 1
+
+
+@st.composite
+def encoder_params(draw):
+    """Parameters of one to three hidden layers at any subsampling, a few
+    entries replaced by arbitrary finite floats."""
+    n = draw(st.integers(1, 3))
+    params = init_params(draw(st.integers(1, 4)),
+                         draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)),
+                         draw(st.integers(2, 6)), draw(st.sampled_from([1, 2, 4, 8])),
+                         draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                         seed=draw(st.integers(0, 2**32 - 1)))
+    flat = flatten_params(params)
+    for i in draw(st.lists(st.integers(0, len(flat) - 1), max_size=4)):
+        flat[i] = draw(st.floats(allow_nan=False, allow_infinity=False))
+    set_flat_params(params, flat)
+    return params
+
+
+@FORMATS
+@given(encoder_params())
+def test_params_round_trip(params):
+    lines = saved_lines(lambda path: save_params(params, path))
+    assert lines[0] == "#adsm-params-v1"
+    loaded = load_lines(load_params, lines)
+    assert ((loaded.input_dim, loaded.num_classes, loaded.subsample_factor, loaded.radii,
+             loaded.hidden_sizes, loaded.pool_after)
+            == (params.input_dim, params.num_classes, params.subsample_factor, params.radii,
+                params.hidden_sizes, params.pool_after))
+    assert [a.tobytes() for a in loaded.arrays()] == [a.tobytes() for a in params.arrays()]
+    assert saved_lines(lambda path: save_params(loaded, path)) == lines
+
+
+def bad_metadata(key: str, value: str) -> list[str]:
+    """Values that make a params file's metadata line wrong: unparsable,
+    out of range, or disagreeing with the other lines or the arrays."""
+    if key in ("radii", "hidden"):
+        return ["x", "", value + " 1", "-1" if key == "radii" else "0"]
+    if key == "subsample_factor":
+        return ["x", "0", "3", "6"]
+    return ["x", "-1", "0", str(int(value) + 1)] + (["1"] if key == "num_classes" else [])
+
+
+@FORMATS
+@given(encoder_params(), st.data())
+def test_params_reject_one_bad_line(params, data):
+    lines = saved_lines(lambda path: save_params(params, path))
+    i = data.draw(st.integers(1, len(lines) - 1))
+    key, _, value = lines[i].partition("\t")
+    if key == "array":
+        name, shape = value.split("\t")
+        lines[i] = data.draw(st.sampled_from(
+            ["arrays\t" + value, "array\t" + name, f"array\t{name}\t{shape} 2",
+             f"array\tw9\t{shape}"]))
+    elif value:
+        lines[i] = data.draw(st.sampled_from([key + "s\t" + value] + [
+            key + "\t" + bad for bad in bad_metadata(key, value)]))
+    else:   # one value of an array
+        lines[i] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "", "0x1"]))
+    with pytest.raises(FormatError) as err:
+        load_lines(load_params, lines)
+    assert err.value.path.endswith("mutated.tsv")
