@@ -218,24 +218,31 @@ def test_train_expands_lattices_and_rejects_other_items():
         train(data + [(data[0][0], "ab")], p1, cfg, vocab)
 
 
-def test_resize_output_keeps_hidden_layers_and_redistributes_pools():
+def test_resize_output_modes():
     p = init_params(3, (6, 4), 5, subsample_factor=2, seed=11)
-    assert p.pool_after == (0,)
-    q = resize_output(p, 8, 4, seed=12)
+    q = resize_output(p, 8, 2, seed=12)
     for got, kept in zip(q.weights + q.biases, p.weights + p.biases):
         np.testing.assert_array_equal(got, kept)
         assert got is not kept
-    assert (q.num_classes, q.subsample_factor, q.pool_after) == (8, 4, (0, 1))
-    assert (p.num_classes, p.subsample_factor, p.pool_after) == (5, 2, (0,))
+    assert (q.num_classes, q.subsample_factor, q.pool_after) == (8, 2, (0,))
+    assert p.num_classes == 5
     np.testing.assert_array_equal(
         q.out_w, np.random.default_rng(12).standard_normal((4, 8)) / np.sqrt(4))
     np.testing.assert_array_equal(q.out_b, np.zeros(8))
+    with pytest.raises(ValueError, match="output classes"):
+        resize_output(p, 1, 2)
+
+
+def test_set_subsample_redistributes_pools():
+    p = init_params(3, (6, 4), 5, subsample_factor=2, seed=11)
+    assert p.pool_after == (0,)
+    q = resize_output(p, 8, 4, seed=12)
+    assert (q.num_classes, q.subsample_factor, q.pool_after) == (8, 4, (0, 1))
+    assert (p.num_classes, p.subsample_factor, p.pool_after) == (5, 2, (0,))
     assert encode(np.ones((9, 3)), q).shape == (3, 8)
     for factor in (0, 3, 6):
         with pytest.raises(ValueError, match="power of two"):
             resize_output(p, 8, factor)
-    with pytest.raises(ValueError, match="output classes"):
-        resize_output(p, 1, 2)
 
 
 def test_params_save_load_round_trip(tmp_path):
