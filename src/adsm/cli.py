@@ -8,13 +8,14 @@ codes: 0 success, 2 bad input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
 
 from . import corpus as corpus_io
 from .encoder import TrainConfig, init_params, load_params, save_params, train
-from .errors import FormatError, NumericalError
+from .errors import FormatError, NumericalError, located, read_rows
 from .lexicon import (build_initial_vocab, make_initial_segtable, parse_g2p,
                       prepare_entries)
 from .pipeline import (PipelineConfig, VariantStats, align_corpus,
@@ -28,6 +29,9 @@ log = logging.getLogger(__name__)
 _DEFAULTS = PipelineConfig()
 _TRAIN_FLAGS = {"lr": "learning_rate", "decay": "decay", "epochs": "epochs",
                 "batch": "batch_size", "seed": "seed", "holdout": "holdout_fraction"}
+_SYNTHETIC_FLAGS = {"dim": "dim", "frames_per_unit": "frames_per_unit", "noise": "noise",
+                    "utterances": "n_utterances", "min_words": "min_words",
+                    "max_words": "max_words", "seed": "seed"}
 
 
 def _read_config(path) -> dict[str, str]:
@@ -81,10 +85,17 @@ def _load_table(a: _Args):
 
 
 def _setting(a: _Args, key: str, config=_DEFAULTS, field: str | None = None):
-    """Option ``key``, defaulting to the dataclass value of ``field`` (``key``
-    itself by default), so the CLI's defaults are those of the library."""
+    """Option ``key``, defaulting to the attribute ``field`` (``key`` itself by
+    default) of a dataclass or its instance, so the CLI's defaults are those
+    of the library."""
     default = getattr(config, field or key)
     return a.get(key, default, _int_tuple if isinstance(default, tuple) else type(default))
+
+
+def _settings(a: _Args, func, keys) -> dict:
+    """Options ``keys``, defaulting to the keyword defaults of ``func``."""
+    defaults = {key: p.default for key, p in inspect.signature(func).parameters.items()}
+    return {key: a.get(key, defaults[key], type(defaults[key])) for key in keys}
 
 
 def _train_config(a: _Args) -> TrainConfig:
@@ -187,7 +198,7 @@ def cmd_segment_text(a: _Args) -> int:
     if lm_path:
         lm = SubwordNgramLM.load(lm_path)
     else:
-        lm = train_lm(table, a.get("order", 2, int), a.get("add_k", 0.1, float))
+        lm = train_lm(table, **_settings(a, train_lm, ("order", "add_k")))
     out_lm = a.get("out_lm", None)
     if out_lm:
         lm.save(out_lm)
@@ -197,8 +208,7 @@ def cmd_segment_text(a: _Args) -> int:
             lines = fh.read().splitlines()
     else:
         lines = sys.stdin.read().splitlines()
-    segmented = segment_corpus(lines, table, lm, a.get("mode", "best"),
-                               a.get("seed", 0, int))
+    segmented = segment_corpus(lines, table, lm, **_settings(a, segment_corpus, ("mode", "seed")))
     out = a.get("output", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -211,29 +221,21 @@ def cmd_segment_text(a: _Args) -> int:
 
 def _read_seg_lexicon(path) -> dict[str, tuple[str, ...]]:
     out: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[1].split():
-                raise FormatError("expected word<TAB>chunk chunk ...", path=path, line=lineno)
-            out[parts[0]] = tuple(parts[1].split())
+    for lineno, (word, chunks) in read_rows(path, fields=("word", "chunks")):
+        with located(path, lineno):
+            if word in out:
+                raise ValueError(f"repeated word {word!r}")
+            out[word] = tuple(chunks.split())
+            if not out[word]:
+                raise ValueError("expected word<TAB>chunk chunk ...")
     return out
 
 
 def cmd_gen_synthetic(a: _Args) -> int:
     spec = corpus_io.SyntheticSpec(
         word_segs=_read_seg_lexicon(a.require("lexicon")),
-        dim=a.get("dim", 10, int),
-        frames_per_unit=a.get("frames_per_unit", 8, int),
-        noise=a.get("noise", 0.1, float),
-        n_utterances=a.get("utterances", 500, int),
-        min_words=a.get("min_words", 2, int),
-        max_words=a.get("max_words", 5, int),
-        seed=a.get("seed", 0, int),
-    )
+        **{field: _setting(a, flag, corpus_io.SyntheticSpec, field)
+           for flag, field in _SYNTHETIC_FLAGS.items()})
     corp, truth = corpus_io.gen_synthetic(spec)
     outdir = a.require("outdir")
     os.makedirs(outdir, exist_ok=True)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import float_rows, located, read_rows
 from .lexicon import G2PEntry
 from .vocab import Unit, check_word_chars
 
@@ -97,42 +98,22 @@ def write_features(mats, path) -> None:
 
 
 def read_features(path) -> list[FeatureMatrix]:
-    mats: list[FeatureMatrix] = []
-    seen = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(FEATURES_HEADER):
-            raise FormatError("missing feature-file header", path=path, line=1)
-        lineno = 1
-        line = fh.readline()
-        lineno += 1
-        while line:
-            parts = line.split()
+    mats: dict[str, FeatureMatrix] = {}
+    rows = read_rows(path, FEATURES_HEADER, sep=None)
+    for lineno, parts in rows:
+        with located(path, lineno):
             if len(parts) != 3:
-                raise FormatError("expected 'utt_id T D' header", path=path, line=lineno)
-            utt_id = parts[0]
-            try:
-                T, D = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise FormatError(str(exc), path=path, line=lineno) from exc
-            if utt_id in seen:
-                raise FormatError(f"duplicate utterance id {utt_id!r}", path=path, line=lineno)
-            seen.add(utt_id)
-            rows = np.empty((T, D))
-            for t in range(T):
-                line = fh.readline()
-                lineno += 1
-                vals = line.split()
-                if len(vals) != D:
-                    raise FormatError(f"expected {D} values", path=path, line=lineno)
-                try:
-                    rows[t] = [float(v) for v in vals]
-                except ValueError as exc:
-                    raise FormatError(str(exc), path=path, line=lineno) from exc
-            mats.append(FeatureMatrix(utt_id, rows))
-            line = fh.readline()
-            lineno += 1
-    return mats
+                raise ValueError("expected 'utt_id T D' header")
+            utt_id, T, D = parts[0], int(parts[1]), int(parts[2])
+            if utt_id in mats:
+                raise ValueError(f"duplicate utterance id {utt_id!r}")
+            if T < 1 or D < 1:
+                raise ValueError(f"features for {utt_id!r} must be (T>=1, D>=1)")
+            block = list(islice(rows, T))
+            if len(block) < T:
+                raise ValueError(f"features for {utt_id!r} end after {len(block)} of {T} rows")
+        mats[utt_id] = FeatureMatrix(utt_id, float_rows(path, block, D))
+    return list(mats.values())
 
 
 def write_transcripts(pairs, path) -> None:
@@ -143,26 +124,21 @@ def write_transcripts(pairs, path) -> None:
             fh.write(utt_id + "\t" + " ".join(words) + "\n")
 
 
-def read_transcripts(path) -> dict[str, tuple[str, ...]]:
+def _read_items(path, header) -> dict[str, tuple[str, ...]]:
+    """The ``utt_id<TAB>item item ...`` lines of a transcript or targets file."""
     out: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(TRANSCRIPTS_HEADER):
-            raise FormatError("missing transcript header", path=path, line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected utt_id<TAB>words", path=path, line=lineno)
-            utt_id, words = parts
+    for lineno, (utt_id, items) in read_rows(path, header, ("utt_id", "items")):
+        with located(path, lineno):
             if utt_id in out:
-                raise FormatError(f"duplicate utterance id {utt_id!r}", path=path, line=lineno)
-            if not words.split():
-                raise FormatError("empty transcription", path=path, line=lineno)
-            out[utt_id] = tuple(words.split())
+                raise ValueError(f"duplicate utterance id {utt_id!r}")
+            out[utt_id] = tuple(items.split())
+            if not out[utt_id]:
+                raise ValueError(f"empty item list for {utt_id!r}")
     return out
+
+
+def read_transcripts(path) -> dict[str, tuple[str, ...]]:
+    return _read_items(path, TRANSCRIPTS_HEADER)
 
 
 def load_corpus(feature_path, transcript_path) -> Corpus:
@@ -192,20 +168,7 @@ def write_targets(pairs, path) -> None:
 
 
 def read_targets(path) -> dict[str, tuple[str, ...]]:
-    out: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(TARGETS_HEADER):
-            raise FormatError("missing targets header", path=path, line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected utt_id<TAB>tokens", path=path, line=lineno)
-            out[parts[0]] = tuple(parts[1].split())
-    return out
+    return _read_items(path, TARGETS_HEADER)
 
 
 @dataclass

@@ -12,13 +12,15 @@ bitwise reproducible.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .ctc import batch_log_loss, logsumexp
-from .errors import FormatError, InfeasibleUtteranceError, NumericalError
+from .errors import FormatError, NumericalError, float_rows, located, read_rows
 from .lattice import CtcGraph, UttLattice, expand_lattices
 
 log = logging.getLogger(__name__)
@@ -383,48 +385,70 @@ def save_params(params: EncoderParams, path) -> None:
                 fh.write(repr(float(v)) + "\n")
 
 
+# A checkpoint's metadata keys: three integers, then one integer per hidden layer.
+_PARAMS_META = ("input_dim", "num_classes", "subsample_factor", "radii", "hidden")
+
+
 def load_params(path) -> EncoderParams:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(PARAMS_HEADER):
-        raise FormatError("missing params header", path=path, line=1)
-    meta = {}
-    pos = 1
-    while pos < len(lines) and not lines[pos].startswith("array\t"):
-        key, _, value = lines[pos].partition("\t")
-        meta[key] = value
-        pos += 1
-    try:
-        input_dim = int(meta["input_dim"])
-        num_classes = int(meta["num_classes"])
-        factor = int(meta["subsample_factor"])
-        radii = tuple(int(v) for v in meta["radii"].split())
-        hidden = tuple(int(v) for v in meta["hidden"].split())
-        params = init_params(input_dim, hidden, num_classes, factor, radii)
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad checkpoint metadata: {exc}", path=path) from exc
-    arrays = {}
-    while pos < len(lines):
-        try:
-            tag, name, shape_s = lines[pos].split("\t")
-            if tag != "array":
-                raise ValueError(f"expected an array line, got {tag!r}")
-            shape = tuple(int(v) for v in shape_s.split())
-            n = int(np.prod(shape))
-            vals = np.array([float(v) for v in lines[pos + 1 : pos + 1 + n]])
-        except ValueError as exc:
-            raise FormatError(f"bad array block: {exc}", path=path, line=pos + 1) from exc
-        if vals.size != n:
-            raise FormatError(f"array {name} truncated", path=path)
-        if not np.all(np.isfinite(vals)):
-            raise FormatError(f"array {name} holds non-finite values", path=path)
-        arrays[name] = vals.reshape(shape)
-        pos += 1 + n
-    for name, arr in _named_arrays(params):
-        if name not in arrays or arrays[name].shape != arr.shape:
-            raise FormatError(f"array {name} missing or misshaped", path=path)
-        arr[...] = arrays[name]
-    return params
+    """Read a checkpoint.  The arrays hold the weights and each metadata line
+    restates part of their shape, so the line that disagrees is named."""
+    meta: dict[str, tuple[int, tuple[int, ...]]] = {}     # key: (line, values)
+    arrays: dict[str, tuple[int, np.ndarray]] = {}        # name: (line, array)
+    rows = read_rows(path, PARAMS_HEADER)
+    for lineno, parts in rows:
+        key = parts[0]
+        if key != "array":
+            with located(path, lineno, "bad checkpoint metadata"):
+                if arrays or key not in _PARAMS_META or key in meta or len(parts) != 2:
+                    raise ValueError(f"{key!r} is not a new metadata key before the arrays")
+                values = tuple(int(v) for v in parts[1].split())
+                if len(values) != 1 and key in _PARAMS_META[:3] or min(values, default=0) < 0:
+                    raise ValueError(f"bad value {parts[1]!r} for {key}")
+                if key == "subsample_factor":
+                    _pool_schedule(values[0], 1)
+                meta[key] = (lineno, values)
+            continue
+        with located(path, lineno, "bad array block"):
+            if len(parts) != 3 or parts[1] in arrays:
+                raise ValueError("expected array<TAB>name<TAB>shape with a new name")
+            name, shape = parts[1], tuple(int(v) for v in parts[2].split())
+            if len(shape) != (2 if "w" in name else 1) or min(shape) < 0:
+                raise ValueError(f"bad shape {parts[2]!r} for {name}")
+            block = list(islice(rows, math.prod(shape)))
+            arrays[name] = (lineno, float_rows(path, block, 1, f"array {name}").reshape(shape))
+    return _checked_params(path, meta, arrays)
+
+
+def _checked_params(path, meta, arrays) -> EncoderParams:
+    """Parameters from the read arrays, once each array header and metadata line agrees."""
+    n = sum(name[0] == "w" and name[1:].isdigit() for name in arrays) or 1   # layers
+    names = [f"{kind}{i}" for kind in "wb" for i in range(n)] + ["out_w", "out_b"]
+    for name, (lineno, _) in arrays.items():
+        if name not in names:
+            raise FormatError(f"array {name} is not one of {n} layers", path=path, line=lineno)
+    with located(path, what="checkpoint lacks"):
+        (input_dim,), (classes,), (factor,), radii, hidden = (meta[k][1] for k in _PARAMS_META)
+        weights, biases, (out_w, out_b) = ([arrays[name][1] for name in part] for part in
+                                           (names[:n], names[n:2 * n], names[2 * n:]))
+    widths = tuple(w.shape[1] for w in weights)
+    rows = tuple(w.shape[0] for w in weights)
+    want = tuple((2 * r + 1) * d for r, d in zip(radii, (input_dim,) + widths))
+    claims = [      # (line at fault, holds, message)
+        ("hidden", hidden == widths, f"hidden sizes {hidden}, weights {widths}"),
+        ("radii", len(radii) == n, f"{len(radii)} radii for {n} layers"),
+        ("num_classes", classes >= 2 and (classes,) == out_b.shape,
+         f"{classes} classes: fewer than 2, or not the width of out_b"),
+        ("input_dim" if want[:1] != rows[:1] else "radii", want == rows,
+         f"input_dim and radii give {want} weight rows, not {rows}"),
+        *((f"b{i}", b.shape == (h,), f"b{i} is not {h} wide")
+          for i, (b, h) in enumerate(zip(biases, widths))),
+        ("out_w", out_w.shape == (widths[-1], classes), "out_w is misshaped"),
+    ]
+    for key, holds, message in claims:
+        if not holds:
+            what = "bad checkpoint metadata: " if key in meta else ""
+            raise FormatError(what + message, path=path, line=(meta.get(key) or arrays[key])[0])
+    return EncoderParams(input_dim, classes, factor, radii, weights, biases, out_w, out_b)
 
 
 def _named_arrays(params: EncoderParams):

@@ -13,14 +13,12 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import FormatError
+from .errors import located, read_rows
 from .vocab import SegTable, Unit, Vocabulary, check_word_chars
 
 log = logging.getLogger(__name__)
 
 NULL_PHONEME = "_"
-
-G2P_HEADER = "#adsm-g2p-v1"
 
 
 @dataclass(frozen=True)
@@ -45,35 +43,25 @@ def parse_g2p(path) -> list[G2PEntry]:
     """Read an alignment file; entries whose chunks misspell the word are
     dropped with a warning, structurally malformed lines raise."""
     entries: list[G2PEntry] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected word<TAB>pairs", path=path, line=lineno)
-            word, pair_field = parts
-            try:
-                check_word_chars(word)
-            except ValueError as exc:
-                raise FormatError(str(exc), path=path, line=lineno) from exc
+    for lineno, (word, pair_field) in read_rows(path, fields=("word", "pairs")):
+        with located(path, lineno):
+            check_word_chars(word)
             pairs = []
             for token in pair_field.split():
                 if "}" not in token:
-                    raise FormatError(f"pair {token!r} lacks '}}'", path=path, line=lineno)
+                    raise ValueError(f"pair {token!r} lacks '}}'")
                 chunk, phoneme = token.split("}", 1)
                 if not chunk or not phoneme:
-                    raise FormatError(f"pair {token!r} has an empty side", path=path, line=lineno)
+                    raise ValueError(f"pair {token!r} has an empty side")
                 pairs.append((chunk, None if phoneme == NULL_PHONEME else phoneme))
             if not pairs:
-                raise FormatError("no pairs on line", path=path, line=lineno)
-            spelled = "".join(g for g, _ in pairs)
-            if spelled != word:
-                log.warning("%s:%d: chunks spell %r, not %r; entry dropped",
-                            path, lineno, spelled, word)
-                continue
-            entries.append(G2PEntry(word, tuple(pairs)))
+                raise ValueError("no pairs on line")
+        spelled = "".join(g for g, _ in pairs)
+        if spelled != word:
+            log.warning("%s:%d: chunks spell %r, not %r; entry dropped",
+                        path, lineno, spelled, word)
+            continue
+        entries.append(G2PEntry(word, tuple(pairs)))
     return entries
 
 

@@ -17,7 +17,7 @@ from . import corpus as corpus_io
 from .ctc import batch_viterbi, estimate_prior
 from .encoder import (CHUNK, EncoderParams, TrainConfig, encode, init_params,
                       resize_output, save_params, subsampled_length, train)
-from .errors import FormatError
+from .errors import located, read_rows
 from .lattice import (UttLattice, build_word_dag_explicit,
                       build_word_dag_implicit, concat_utterance, expand_lattices)
 from .lexicon import build_initial_vocab, make_initial_segtable, prepare_entries
@@ -91,35 +91,23 @@ class VariantStats:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(STATS_HEADER + "\n")
             for word in self.words():
-                per = self.counts[word]
-                ordered = sorted(per.items(),
-                                 key=lambda kv: (-kv[1], tuple(marked(u) for u in kv[0])))
-                for variant, count in ordered:
+                for variant, _ in self.weights(word):
                     tokens = " ".join(marked(u) for u in variant)
-                    fh.write(f"{word}\t{count}\t{tokens}\n")
+                    fh.write(f"{word}\t{self.counts[word][variant]}\t{tokens}\n")
 
     @classmethod
     def load(cls, path) -> "VariantStats":
         stats = cls()
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(STATS_HEADER):
-                raise FormatError("missing stats header", path=path, line=1)
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise FormatError("expected word<TAB>count<TAB>tokens", path=path, line=lineno)
-                word, count_s, tokens = parts
-                try:
-                    count = int(count_s)
-                    if count <= 0:
-                        raise ValueError(f"count {count} is not positive")
-                    stats.add(word, tuple(parse_marked(tok) for tok in tokens.split()), count)
-                except ValueError as exc:
-                    raise FormatError(str(exc), path=path, line=lineno) from exc
+        for lineno, (word, count_s, tokens) in read_rows(path, STATS_HEADER,
+                                                         ("word", "count", "tokens")):
+            with located(path, lineno):
+                count = int(count_s)
+                if count <= 0:
+                    raise ValueError(f"count {count} is not positive")
+                variant = tuple(parse_marked(tok) for tok in tokens.split())
+                if variant in stats.counts.get(word, ()):
+                    raise ValueError(f"repeated row for {word!r} and {tokens!r}")
+                stats.add(word, variant, count)
         return stats
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import located, read_rows
 from .vocab import SegMode, SegTable, Unit, Vocabulary, marked, parse_marked
 
 BOS = "<s>"
@@ -99,55 +99,40 @@ class SubwordNgramLM:
 
     @classmethod
     def load(cls, path) -> "SubwordNgramLM":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(LM_HEADER):
-                raise FormatError("missing LM header", path=path, line=1)
-            meta = {}
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
+        meta = {}
+        rows = []
+        for lineno, parts in read_rows(path, LM_HEADER):
+            with located(path, lineno):
                 if parts[0] == "ngram":
                     if len(parts) != 4:
-                        raise FormatError("expected ngram<TAB>hist<TAB>event<TAB>count",
-                                          path=path, line=lineno)
+                        raise ValueError("expected ngram<TAB>hist<TAB>event<TAB>count")
                     rows.append((lineno, *parts[1:]))
-                elif len(parts) == 2:
-                    if parts[0] not in ("order", "add_k", "events") or parts[0] in meta:
-                        raise FormatError(f"unknown or repeated metadata key {parts[0]!r}",
-                                          path=path, line=lineno)
-                    meta[parts[0]] = parts[1]
+                elif (len(parts) != 2 or parts[0] not in ("order", "add_k", "events")
+                      or parts[0] in meta):
+                    raise ValueError(f"expected one new metadata key<TAB>value, not {parts[0]!r}")
                 else:
-                    raise FormatError("unrecognized line", path=path, line=lineno)
-        try:
+                    meta[parts[0]] = parts[1]
+        with located(path, what="bad LM metadata"):
             lm = cls(order=int(meta["order"]), add_k=float(meta["add_k"]),
                      events=tuple(meta["events"].split()))
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"bad LM metadata: {exc}", path=path) from exc
         units = lm._event_set - {EOS}
         for lineno, hs, event, count_s in rows:
             h = () if hs == "-" else tuple(hs.split())
-            try:
-                count = float(count_s)
-            except ValueError:
-                raise FormatError(f"count {count_s!r} is not a number",
-                                  path=path, line=lineno) from None
-            if not (math.isfinite(count) and count > 0):
-                raise FormatError(f"count {count_s!r} is not finite and positive",
-                                  path=path, line=lineno)
-            if event not in lm._event_set:
-                raise FormatError(f"event {event!r} is not in the inventory",
-                                  path=path, line=lineno)
-            if len(h) != lm.order - 1 or not all(t == BOS or t in units for t in h):
-                raise FormatError(f"history {hs!r} is not {lm.order - 1} start "
-                                  "symbols or units", path=path, line=lineno)
-            if event in lm.counts.get(h, ()):
-                raise FormatError(f"repeated row for history {hs!r} and event {event!r}",
-                                  path=path, line=lineno)
-            lm.add(h, event, count)
+            with located(path, lineno):
+                try:
+                    count = float(count_s)
+                except ValueError:
+                    raise ValueError(f"count {count_s!r} is not a number") from None
+                if not (math.isfinite(count) and count > 0):
+                    raise ValueError(f"count {count_s!r} is not finite and positive")
+                if event not in lm._event_set:
+                    raise ValueError(f"event {event!r} is not in the inventory")
+                if len(h) != lm.order - 1 or not all(t == BOS or t in units for t in h):
+                    raise ValueError(f"history {hs!r} is not {lm.order - 1} start "
+                                     "symbols or units")
+                if event in lm.counts.get(h, ()):
+                    raise ValueError(f"repeated row for history {hs!r} and event {event!r}")
+                lm.add(h, event, count)
         return lm
 
 

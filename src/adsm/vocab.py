@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Iterator
 
-from .errors import FormatError
+from .errors import FormatError, located, read_rows
 
 # (spelling, word_end)
 Unit = tuple[str, bool]
@@ -119,35 +119,19 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         rows: dict[Unit, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(VOCAB_HEADER):
-                raise FormatError("missing vocabulary header", path=path, line=1)
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise FormatError("expected 3 tab-separated fields", path=path, line=lineno)
-                spelling, end_s, id_s = parts
+        for lineno, (spelling, end_s, id_s) in read_rows(path, VOCAB_HEADER,
+                                                         ("spelling", "word_end", "id")):
+            with located(path, lineno):
+                check_word_chars(spelling)
                 if end_s not in ("0", "1"):
-                    raise FormatError(f"word_end must be 0 or 1, not {end_s!r}",
-                                      path=path, line=lineno)
+                    raise ValueError(f"word_end must be 0 or 1, not {end_s!r}")
                 unit = (spelling, end_s == "1")
                 if unit in rows:
-                    raise FormatError(f"duplicate unit {marked(unit)!r}", path=path, line=lineno)
-                try:
-                    rows[unit] = int(id_s)
-                except ValueError as exc:
-                    raise FormatError(str(exc), path=path, line=lineno) from exc
+                    raise ValueError(f"duplicate unit {marked(unit)!r}")
+                rows[unit] = int(id_s)
         if sorted(rows.values()) != list(range(len(rows))):
             raise FormatError("unit ids are not dense", path=path)
-        ordered = sorted(rows, key=rows.get)
-        try:
-            return cls(ordered)
-        except ValueError as exc:
-            raise FormatError(str(exc), path=path) from exc
+        return cls(sorted(rows, key=rows.get))
 
 
 class SegMode(enum.Enum):
@@ -258,58 +242,30 @@ class SegTable:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "SegTable":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith(SEGTABLE_HEADER):
-                raise FormatError("missing segtable header", path=path, line=1)
-            fields = dict(part.split("=", 1) for part in header.split("\t")[1:] if "=" in part)
-            try:
-                mode = SegMode(fields.get("mode", ""))
-            except ValueError as exc:
-                raise FormatError("unknown segtable mode", path=path, line=1) from exc
-            entries: dict[str, list[Variant]] = {}
-            first_line: dict[str, int] = {}
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if mode is SegMode.IMPLICIT_ALL:
-                    entries.setdefault(line, [])
-                    first_line.setdefault(line, lineno)
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise FormatError("expected 3 tab-separated fields", path=path, line=lineno)
-                word, tokens, weight_s = parts
-                try:
-                    ids = tuple(vocab.id_of[parse_marked(tok)] for tok in tokens.split())
-                    weight = float(weight_s)
-                except (KeyError, ValueError) as exc:
-                    raise FormatError(f"bad variant: {exc}", path=path, line=lineno) from exc
-                entries.setdefault(word, []).append((ids, weight))
-                first_line.setdefault(word, lineno)
+        rows = read_rows(path, SEGTABLE_HEADER, keep_header=True)
+        _, header = next(rows)
+        fields = dict(part.split("=", 1) for part in header[1:] if "=" in part)
+        with located(path, 1, "unknown segtable mode"):
+            table = cls(SegMode(fields.get("mode", "")), vocab, {})
+        width = 1 if table.mode is SegMode.IMPLICIT_ALL else 3
+        entries: dict[str, list[Variant]] = {}
+        first_line: dict[str, int] = {}
+        for lineno, parts in rows:
+            word = parts[0]
+            with located(path, lineno):
+                if len(parts) != width:
+                    raise ValueError(f"expected {width} tab-separated fields")
+                if width == 1 and word in entries:
+                    raise ValueError(f"repeated word {word!r}")
+            variants = entries.setdefault(word, [])
+            first_line.setdefault(word, lineno)
+            if width == 3:
+                with located(path, lineno, "bad variant"):
+                    ids = tuple(vocab.id_of[parse_marked(tok)] for tok in parts[1].split())
+                    variants.append((ids, float(parts[2])))
         # Check word by word so that an error names the word's first line.
-        table = cls(mode, vocab, {})
         for word, variants in entries.items():
-            try:
+            with located(path, first_line[word]):
                 table._check_word_entry(word, variants)
-            except ValueError as exc:
-                raise FormatError(str(exc), path=path, line=first_line[word]) from exc
         table.entries = entries
         return table
-
-    def remap(self, new_vocab: Vocabulary) -> "SegTable":
-        """Re-encode all variants against another vocabulary."""
-        if self.mode is SegMode.IMPLICIT_ALL:
-            return SegTable.implicit(self.entries, new_vocab)
-        entries: dict[str, list[Variant]] = {}
-        for word, variants in self.entries.items():
-            remapped = []
-            for ids, weight in variants:
-                units = [self.vocab.unit(i) for i in ids]
-                try:
-                    remapped.append((tuple(new_vocab.id_of[u] for u in units), weight))
-                except KeyError as exc:
-                    raise ValueError(f"unit missing from target vocabulary: {exc}") from exc
-            entries[word] = remapped
-        return SegTable(SegMode.EXPLICIT, new_vocab, entries)

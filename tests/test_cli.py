@@ -1,3 +1,5 @@
+import functools
+import inspect
 import io
 import sys
 import types
@@ -7,9 +9,11 @@ import pytest
 
 from adsm import cli
 from adsm.cli import main
+from adsm.corpus import SyntheticSpec
 from adsm.encoder import TrainConfig, init_params, load_params, save_params
+from adsm.errors import FormatError
 from adsm.pipeline import PipelineConfig
-from adsm.textseg import EOS, SubwordNgramLM, detokenize
+from adsm.textseg import EOS, SubwordNgramLM, detokenize, segment_corpus, train_lm
 from adsm.vocab import SegTable, Vocabulary
 
 LEXICON = "ab\tab\ncd\tcd\nabcd\tab cd\ncdab\tcd ab\n"
@@ -142,7 +146,7 @@ def test_run_subcommand(datadir, tmp_path, capsys):
         assert (outdir / name).exists()
 
 
-def test_defaults_are_the_dataclass_defaults(datadir, monkeypatch):
+def test_defaults_are_the_dataclass_defaults(datadir, tmp_path, monkeypatch):
     parser = cli.build_parser()
     assert cli._train_config(cli._Args(parser.parse_args(["train"]))) == TrainConfig()
     seen = []
@@ -152,6 +156,43 @@ def test_defaults_are_the_dataclass_defaults(datadir, monkeypatch):
     assert main(["run", "--g2p", f"{d}/g2p.tsv", "--features", f"{d}/features.tsv",
                  "--transcripts", f"{d}/transcripts.tsv", "--outdir", "unused"]) == 0
     assert seen == [PipelineConfig()]
+
+    def defaults(func, *keys):
+        params = inspect.signature(func).parameters
+        return {key: params[key].default for key in keys}
+
+    def recorder(func, result):
+        """``func``'s signature, recording the keywords of each call."""
+        return functools.wraps(func)(lambda *args, **kw: seen.append(kw) or result)
+
+    monkeypatch.setattr(cli, "train_lm", recorder(train_lm, None))
+    monkeypatch.setattr(cli, "segment_corpus", recorder(segment_corpus, []))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    vpath, tpath = _ab_cd_table(tmp_path)
+    assert main(["segment-text", "--vocab", vpath, "--segtable", tpath]) == 0
+    assert seen[1:] == [defaults(train_lm, "order", "add_k"),
+                        defaults(segment_corpus, "mode", "seed")]
+
+    def stop(spec):
+        seen.append(spec)
+        raise ValueError("stopped after the spec")
+
+    monkeypatch.setattr(cli.corpus_io, "gen_synthetic", stop)
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(LEXICON, encoding="utf-8")
+    assert main(["gen-synthetic", "--lexicon", str(lexicon), "--outdir", "unused"]) == 2
+    assert seen[3:] == [SyntheticSpec(cli._read_seg_lexicon(lexicon))]
+
+
+def test_seg_lexicon_rejects_a_repeated_word(tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("# word<TAB>chunks\nab\tab\n\nab\ta b\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="repeated word") as err:
+        cli._read_seg_lexicon(lexicon)
+    assert err.value.line == 4
+    assert main(["gen-synthetic", "--lexicon", str(lexicon), "--outdir",
+                 str(tmp_path / "out")]) == 2
+    assert "repeated word" in capsys.readouterr().err
 
 
 def test_segment_text_stdin_stdout(tmp_path, capsys, monkeypatch):

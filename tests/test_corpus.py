@@ -80,6 +80,18 @@ def test_targets_round_trip(tmp_path):
     assert read_targets(p) == {"u0": ("ab", "c_"), "u1": ("c_",)}
 
 
+@pytest.mark.parametrize("body, message", [
+    ("u0\ta_\nu0\tb_\nu1\tc_\n", "duplicate"),
+    ("u0\ta_\nu1\t\n", "empty"),
+])
+def test_targets_reject_a_repeated_or_empty_row(tmp_path, body, message):
+    p = tmp_path / "targets.tsv"
+    p.write_text("#adsm-targets-v1\n" + body)
+    with pytest.raises(FormatError, match=message) as err:
+        read_targets(p)
+    assert err.value.line == 3
+
+
 def test_load_corpus_joins_and_warns(tmp_path, caplog):
     write_features([FeatureMatrix("u0", np.ones((1, 2))),
                     FeatureMatrix("u2", np.ones((1, 2)))], tmp_path / "f.tsv")

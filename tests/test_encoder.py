@@ -296,6 +296,26 @@ def test_params_load_rejects_non_finite_values_and_bad_array_lines(tmp_path):
             load_params(path)
 
 
+def test_params_load_names_the_line_of_an_unknown_repeated_or_bad_entry(tmp_path):
+    path = tmp_path / "params.txt"
+    save_params(init_params(3, (4,), 5, seed=0), path)
+    lines = path.read_text().splitlines()
+    first_value = lines.index(next(l for l in lines if l.startswith("array\t"))) + 1
+    cases = [
+        (lines[:1] + ["learning_rate\t7"] + lines[1:], 2, "learning_rate"),
+        (lines[:2] + ["input_dim\t3"] + lines[2:], 3, "input_dim"),
+        (lines + ["array\tw9\t1", "0.5"], len(lines) + 1, "w9"),
+        (lines[:first_value + 5] + ["0.5x"] + lines[first_value + 6:], first_value + 6, "0.5x"),
+        (lines[:first_value + 5] + ["-inf"] + lines[first_value + 6:], first_value + 6,
+         "non-finite"),
+    ]
+    for edited, line, message in cases:
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(FormatError, match=message) as err:
+            load_params(path)
+        assert err.value.line == line
+
+
 def mixed_items(rng, n, factor, dim=3):
     """Utterances of 1-3 words over a vocabulary with multi-letter units, so
     lattices have several paths; lengths are mixed, odd ones included."""

@@ -3,14 +3,19 @@ and a file with one bad line is refused with that line's number."""
 
 import os
 import tempfile
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adsm.corpus import (FeatureMatrix, read_features, read_targets, read_transcripts,
+                         write_features, write_targets, write_transcripts)
 from adsm.encoder import flatten_params, init_params, load_params, save_params, set_flat_params
 from adsm.errors import FormatError
+from adsm.lexicon import G2PEntry, parse_g2p
 from adsm.pipeline import VariantStats
-from adsm.textseg import BOS, EOS, SubwordNgramLM
+from adsm.textseg import BOS, EOS, SubwordNgramLM, train_lm
 from adsm.vocab import SegMode, SegTable, Vocabulary, marked
 
 # Reproducible runs that leave no example database behind.
@@ -274,8 +279,182 @@ def test_params_reject_one_bad_line(params, data):
     elif value:
         lines[i] = data.draw(st.sampled_from([key + "s\t" + value] + [
             key + "\t" + bad for bad in bad_metadata(key, value)]))
-    else:   # one value of an array
-        lines[i] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "", "0x1"]))
+    else:   # one value of an array (a blank line is skipped, not refused)
+        lines[i] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "0x1"]))
     with pytest.raises(FormatError) as err:
         load_lines(load_params, lines)
     assert err.value.path.endswith("mutated.tsv")
+    assert err.value.line == i + 1
+
+
+
+@st.composite
+def g2p_entries(draw, min_size=0):
+    """Distinct words, each split into chunks aligned to a phoneme or to none."""
+    entries = []
+    for word in draw(st.lists(SPELLING, unique=True, min_size=min_size, max_size=6)):
+        chunks = [chunk for chunk, _ in splits(draw, word)]
+        phonemes = [draw(st.none() | st.text(alphabet="ABXYZ", min_size=1, max_size=3))
+                    for _ in chunks]
+        entries.append(G2PEntry(word, tuple(zip(chunks, phonemes))))
+    return entries
+
+
+def save_g2p(entries):
+    """Writer of the alignment format, as ``adsm gen-synthetic`` writes it."""
+    def save(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("#adsm-g2p-v1\n")
+            for e in entries:
+                pairs = " ".join(f"{g}}}{'_' if p is None else p}" for g, p in e.pairs)
+                fh.write(f"{e.word}\t{pairs}\n")
+    return save
+
+
+@FORMATS
+@given(g2p_entries())
+def test_g2p_round_trips(entries):
+    lines = saved_lines(save_g2p(entries))
+    assert lines[0] == "#adsm-g2p-v1"
+    assert load_lines(parse_g2p, lines) == entries
+
+
+@FORMATS
+@given(g2p_entries(min_size=1), st.data())
+def test_g2p_rejects_a_bad_line_at_its_number(entries, data):
+    lines = saved_lines(save_g2p(entries))
+    i = data.draw(st.integers(1, len(lines) - 1))
+    word, pairs = lines[i].split("\t")
+    lines[i] = data.draw(st.sampled_from([
+        word + " " + pairs,                 # no tab
+        lines[i] + "\tx}X",                 # a third field
+        word + "_\t" + pairs,               # a reserved character in the word
+        word + "\t" + pairs.replace("}", "", 1),
+        word + "\t" + pairs + " }X",
+        word + "\t" + pairs + " x}",
+        word + "\t"]))                      # no pairs
+    with pytest.raises(FormatError) as err:
+        load_lines(parse_g2p, lines)
+    assert err.value.line == i + 1
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def feature_matrices(draw, min_size=0):
+    """Matrices of one to four frames of one to three arbitrary finite values."""
+    ids = draw(st.lists(st.text(alphabet="uv01_", min_size=1, max_size=3), unique=True,
+                        min_size=min_size, max_size=4))
+    return [FeatureMatrix(utt_id, np.array(draw(st.lists(
+                st.lists(FLOATS, min_size=width, max_size=width), min_size=1, max_size=4))))
+            for utt_id, width in zip(ids, draw(st.lists(st.integers(1, 3), min_size=len(ids),
+                                                        max_size=len(ids))))]
+
+
+@FORMATS
+@given(feature_matrices())
+def test_features_round_trip(mats):
+    lines = saved_lines(lambda path: write_features(mats, path))
+    assert lines[0] == "#adsm-feats-v1"
+    loaded = load_lines(read_features, lines)
+    assert [m.utt_id for m in loaded] == [m.utt_id for m in mats]
+    assert [m.values.tobytes() for m in loaded] == [m.values.tobytes() for m in mats]
+
+
+@FORMATS
+@given(feature_matrices(min_size=1), st.data())
+def test_features_reject_a_bad_line_at_its_number(mats, data):
+    lines = saved_lines(lambda path: write_features(mats, path))
+    heads = [1 + sum(len(m.values) + 1 for m in mats[:k]) for k in range(len(mats))]
+    i = data.draw(st.integers(1, len(lines) - 1))
+    parts = lines[i].split()
+    if i in heads:
+        utt_id, T, D = parts
+        lines[i] = data.draw(st.sampled_from(
+            [f"{utt_id} {T}", f"{utt_id} x {D}", f"{utt_id} 0 {D}", f"{utt_id} {T} -1"]
+            + [f"{lines[heads[0]].split()[0]} {T} {D}"] * (i > heads[0])))
+    else:   # one row of values
+        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(
+            st.sampled_from(["x", "nan", "-inf", "1e999", "0x1", "1.0 2.0"]))
+        lines[i] = " ".join(parts)
+    with pytest.raises(FormatError) as err:
+        load_lines(read_features, lines)
+    assert err.value.line == i + 1
+
+
+ITEM_LINES = [(write_transcripts, read_transcripts, "#adsm-trans-v1"),
+              (write_targets, read_targets, "#adsm-targets-v1")]
+
+
+def item_rows(min_size=0):
+    """Rows of distinct utterance ids, each with one to four items."""
+    item = st.builds(str.__add__, SPELLING, st.sampled_from(["", "_"]))
+    return st.dictionaries(st.text(alphabet="uv01", min_size=1, max_size=3),
+                           st.lists(item, min_size=1, max_size=4).map(tuple),
+                           min_size=min_size, max_size=5)
+
+
+@pytest.mark.parametrize("write, read, header", ITEM_LINES)
+@FORMATS
+@given(rows=item_rows())
+def test_transcripts_and_targets_round_trip(write, read, header, rows):
+    lines = saved_lines(lambda path: write(rows.items(), path))
+    assert lines[0] == header
+    assert load_lines(read, lines) == rows
+
+
+@pytest.mark.parametrize("write, read, header", ITEM_LINES)
+@FORMATS
+@given(rows=item_rows(min_size=1), data=st.data())
+def test_transcripts_and_targets_reject_a_bad_line_at_its_number(write, read, header,
+                                                                 rows, data):
+    lines = saved_lines(lambda path: write(rows.items(), path))
+    i = data.draw(st.integers(1, len(lines) - 1))
+    utt_id, items = lines[i].split("\t")
+    lines[i] = data.draw(st.sampled_from(
+        [utt_id + " " + items, lines[i] + "\tx", utt_id + "\t", utt_id + "\t "]
+        + [lines[1].split("\t")[0] + "\t" + items] * (i > 1)))
+    with pytest.raises(FormatError) as err:
+        load_lines(read, lines)
+    assert err.value.line == i + 1
+
+
+def small_files():
+    """One small instance of each format: (object, its saver, loader, loader args)."""
+    vocab = Vocabulary([("a", False), ("b", True), ("ab", True)])
+    table = SegTable.explicit({"ab": [((0, 1), 0.25), ((2,), 0.75)]}, vocab)
+    stats = VariantStats()
+    stats.add("ab", (("ab", True),), 3)
+    stats.add("ab", (("a", False), ("b", True)), 1)
+    rows = {"u0": ("ab", "a"), "u1": ("b",)}
+    return {
+        "vocab": (vocab, lambda v: v.save, Vocabulary.load, ()),
+        "segtable": (table, lambda t: t.save, SegTable.load, (vocab,)),
+        "implicit segtable": (SegTable.implicit(["ab", "b"], vocab), lambda t: t.save,
+                              SegTable.load, (vocab,)),
+        "stats": (stats, lambda s: s.save, VariantStats.load, ()),
+        "lm": (train_lm(table), lambda lm: lm.save, SubwordNgramLM.load, ()),
+        "params": (init_params(2, (3,), 4, seed=0), lambda p: partial(save_params, p),
+                   load_params, ()),
+        "feats": ([FeatureMatrix("u0", [[1.0, 2.0], [3.0, 4.0]]),
+                   FeatureMatrix("u1", [[5.0, 6.0]])],
+                  lambda m: partial(write_features, m), read_features, ()),
+        "trans": (rows, lambda r: partial(write_transcripts, r.items()), read_transcripts, ()),
+        "targets": (rows, lambda r: partial(write_targets, r.items()), read_targets, ()),
+        "g2p": ([G2PEntry("ab", (("a", "A"), ("b", None)))], save_g2p, parse_g2p, ()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(small_files()))
+def test_blank_lines_are_skipped_in_every_format(name):
+    obj, saver, load, args = small_files()[name]
+    lines = saved_lines(saver(obj))
+    spaced = [part for line in lines for part in (line, "")]
+    assert saved_lines(saver(load_lines(load, spaced, *args))) == lines
+
+
+def test_hash_starts_a_comment_only_where_there_is_no_header():
+    assert load_lines(read_transcripts, ["#adsm-trans-v1", "#u0\tab"]) == {"#u0": ("ab",)}
+    assert load_lines(parse_g2p, ["#u0\tab}A", "ab\ta}A b}B"]) == [
+        G2PEntry("ab", (("a", "A"), ("b", "B")))]

@@ -85,6 +85,10 @@ def test_variant_stats_load_stores_counts_and_rejects_non_positive(tmp_path):
         p.write_text(f"#adsm-stats-v1\nab\t{count}\tab_\ncd\t1\tcd_\n")
         with pytest.raises(FormatError, match="positive"):
             VariantStats.load(p)
+    p.write_text("#adsm-stats-v1\nab\t3\tab_\nab\t1\ta b_\nab\t2\tab_\n")
+    with pytest.raises(FormatError, match="repeated row") as err:
+        VariantStats.load(p)
+    assert err.value.line == 4
 
 
 def test_utterance_lattice_explicit_matches_implicit():

@@ -181,13 +181,10 @@ def test_segtable_load_reports_constructor_errors_with_line(tmp_path):
     assert err.value.line == 3
 
 
-
-
-def test_segtable_remap_preserves_units():
-    v, table = make_table()
-    bigger = Vocabulary.from_units(list(v.units) + [("zz", True)])
-    moved = table.remap(bigger)
-    assert moved.unit_variants("ab") == table.unit_variants("ab")
-    smaller = Vocabulary.from_units([("a", False), ("b", True)])
-    with pytest.raises(ValueError, match="missing"):
-        table.remap(smaller)
+def test_segtable_load_rejects_a_repeated_implicit_word(tmp_path):
+    v, _ = make_table()
+    p = tmp_path / "seg.tsv"
+    p.write_text("#adsm-segtable-v1\tmode=IMPLICIT_ALL\nab\na\nab\n")
+    with pytest.raises(FormatError, match="repeated word") as err:
+        SegTable.load(p, v)
+    assert err.value.line == 4
