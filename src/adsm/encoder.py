@@ -400,7 +400,7 @@ def load_params(path) -> EncoderParams:
         if key != "array":
             with located(path, lineno, "bad checkpoint metadata"):
                 if arrays or key not in _PARAMS_META or key in meta or len(parts) != 2:
-                    raise ValueError(f"{key!r} is not a new metadata key before the arrays")
+                    raise ValueError(f"{key!r}: not an array header, nor a new key before them")
                 values = tuple(int(v) for v in parts[1].split())
                 if len(values) != 1 and key in _PARAMS_META[:3] or min(values, default=0) < 0:
                     raise ValueError(f"bad value {parts[1]!r} for {key}")

@@ -305,6 +305,7 @@ def test_params_load_names_the_line_of_an_unknown_repeated_or_bad_entry(tmp_path
         (lines[:1] + ["learning_rate\t7"] + lines[1:], 2, "learning_rate"),
         (lines[:2] + ["input_dim\t3"] + lines[2:], 3, "input_dim"),
         (lines + ["array\tw9\t1", "0.5"], len(lines) + 1, "w9"),
+        ([l if not l.startswith("radii\t") else "radii\t-1" for l in lines], 5, "radii"),
         (lines[:first_value + 5] + ["0.5x"] + lines[first_value + 6:], first_value + 6, "0.5x"),
         (lines[:first_value + 5] + ["-inf"] + lines[first_value + 6:], first_value + 6,
          "non-finite"),
