@@ -34,17 +34,20 @@ _SYNTHETIC_FLAGS = {"dim": "dim", "frames_per_unit": "frames_per_unit", "noise":
                     "max_words": "max_words", "seed": "seed"}
 
 
-def _read_config(path) -> dict[str, str]:
+def _read_config(path, keys) -> dict[str, str]:
+    """``key=value`` lines, each key (``-`` read as ``_``) one of ``keys`` and
+    set once; blank lines and lines starting with ``#`` are skipped."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError("expected key=value", path=path, line=lineno)
-            key, _, value = line.partition("=")
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, parts in read_rows(path, sep="="):
+        with located(path, lineno):
+            if len(parts) < 2:
+                raise ValueError("expected key=value")
+            key = parts[0].strip().replace("-", "_")
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r}")
+            if key in out:
+                raise ValueError(f"repeated key {key!r}")
+            out[key] = "=".join(parts[1:]).strip()
     return out
 
 
@@ -53,7 +56,8 @@ class _Args:
 
     def __init__(self, ns: argparse.Namespace):
         self.ns = ns
-        self.config = _read_config(ns.config) if getattr(ns, "config", None) else {}
+        keys = set(vars(ns)) - {"command", "config", "func"}
+        self.config = _read_config(ns.config, keys) if getattr(ns, "config", None) else {}
 
     def get(self, key, default, cast=str):
         value = getattr(self.ns, key, None)

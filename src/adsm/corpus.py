@@ -124,8 +124,9 @@ def write_transcripts(pairs, path) -> None:
             fh.write(utt_id + "\t" + " ".join(words) + "\n")
 
 
-def _read_items(path, header) -> dict[str, tuple[str, ...]]:
-    """The ``utt_id<TAB>item item ...`` lines of a transcript or targets file."""
+def _read_items(path, header, check_item=None) -> dict[str, tuple[str, ...]]:
+    """The ``utt_id<TAB>item item ...`` lines of a transcript or targets file,
+    each item passed to ``check_item`` when one is given."""
     out: dict[str, tuple[str, ...]] = {}
     for lineno, (utt_id, items) in read_rows(path, header, ("utt_id", "items")):
         with located(path, lineno):
@@ -134,11 +135,14 @@ def _read_items(path, header) -> dict[str, tuple[str, ...]]:
             out[utt_id] = tuple(items.split())
             if not out[utt_id]:
                 raise ValueError(f"empty item list for {utt_id!r}")
+            if check_item is not None:
+                for item in out[utt_id]:
+                    check_item(item)
     return out
 
 
 def read_transcripts(path) -> dict[str, tuple[str, ...]]:
-    return _read_items(path, TRANSCRIPTS_HEADER)
+    return _read_items(path, TRANSCRIPTS_HEADER, check_word_chars)
 
 
 def load_corpus(feature_path, transcript_path) -> Corpus:

@@ -18,9 +18,6 @@ import numpy as np
 
 from .vocab import Vocabulary
 
-GRAPH_HEADER = "#adsm-graph-v1"
-DAG_HEADER = "#adsm-dag-v1"
-
 
 @dataclass(frozen=True)
 class WordSegDAG:
@@ -364,31 +361,3 @@ def _label_path_dp(g):
     h = max((hi[a] for a in finals if count[a]), default=0)
     return c, t, l, h
 
-
-def dump_graph(graph: CtcGraph, vocab: Vocabulary | None = None) -> str:
-    """Line-oriented dump (`state id label`, `arc from to`) for golden tests."""
-    lines = [GRAPH_HEADER]
-    for s in range(graph.n_states):
-        uid = int(graph.labels[s])
-        if vocab is not None:
-            label = vocab.spelling(uid)
-        else:
-            label = "eps" if uid == graph.blank else str(uid)
-        lines.append(f"state {s} {label}")
-    for u, v in graph.transitions():
-        lines.append(f"arc {u} {v}")
-    for s in graph.initial:
-        lines.append(f"initial {int(s)}")
-    for s in graph.final:
-        lines.append(f"final {int(s)}")
-    return "\n".join(lines) + "\n"
-
-
-def dump_dag(dag: WordSegDAG, vocab: Vocabulary | None = None) -> str:
-    lines = [DAG_HEADER]
-    for n, pos in enumerate(dag.node_pos):
-        lines.append(f"node {n} {pos}")
-    for u, v, uid in dag.arcs:
-        label = vocab.spelling(uid) if vocab is not None else str(uid)
-        lines.append(f"arc {u} {v} {label}")
-    return "\n".join(lines) + "\n"

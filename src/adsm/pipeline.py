@@ -158,8 +158,11 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
 
     The label prior is estimated from this model's posteriors over the very
     utterances being aligned, then flattens the scores as
-    ``logp - prior_scale * log q``.  The feasible utterances are aligned in
-    dataset order, ``CHUNK`` at a time by :func:`batch_viterbi`.  Returns
+    ``logp - prior_scale * log q``.  :func:`batch_viterbi` aligns the
+    feasible utterances ``CHUNK`` at a time, chunked in order of subsampled
+    length (ties by dataset position) so each chunk's sweep and backtrace
+    run only as long as its own longest utterance.  Encoding, the prior, the
+    returned alignments and the stats all keep dataset order.  Returns
     (alignments, stats, skipped).
     """
     if params.num_classes != vocab.num_classes:
@@ -184,27 +187,31 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
         log.info("alignment skipped %d infeasible utterances", skipped)
     prior = estimate_prior(posteriors, params.num_classes)
 
-    stats = VariantStats()
-    aligned = []
-    for lo in range(0, len(feasible), CHUNK):
-        chunk = feasible[lo : lo + CHUNK]
-        alignments = batch_viterbi([graph for *_, graph in chunk],
-                                   posteriors[lo : lo + CHUNK], prior, prior_scale)
-        for (i, feats, lat, graph), ali in zip(chunk, alignments):
+    word_variants = [None] * len(feasible)
+    # a stable sort: equal lengths keep dataset order
+    order = sorted(range(len(feasible)), key=lambda k: len(posteriors[k]))
+    for lo in range(0, len(order), CHUNK):
+        chunk = order[lo : lo + CHUNK]
+        alignments = batch_viterbi([feasible[k][3] for k in chunk],
+                                   [posteriors[k] for k in chunk], prior, prior_scale)
+        for k, ali in zip(chunk, alignments):
+            _, _, lat, graph = feasible[k]
             per_word: dict[int, list[int]] = {}
             for state in dict.fromkeys(ali.frame_states):
                 arc = int(graph.state_arc[state])
                 if arc < 0:
                     continue
                 per_word.setdefault(int(graph.state_word[state]), []).append(arc)
-            word_variants = []
-            for w, word in enumerate(lat.words):
-                uids = [lat.arcs[a][2] for a in per_word[w]]
-                variant = tuple(vocab.unit(u) for u in uids)
-                stats.add(word, variant)
-                word_variants.append((word, variant))
-            utt_id = getattr(feats, "utt_id", str(i))
-            aligned.append(AlignedUtt(i, utt_id, tuple(word_variants)))
+            word_variants[k] = tuple(
+                (word, tuple(vocab.unit(lat.arcs[a][2]) for a in per_word[w]))
+                for w, word in enumerate(lat.words))
+
+    stats = VariantStats()
+    aligned = []
+    for (i, feats, _, _), variants in zip(feasible, word_variants):
+        for word, variant in variants:
+            stats.add(word, variant)
+        aligned.append(AlignedUtt(i, getattr(feats, "utt_id", str(i)), variants))
     return aligned, stats, skipped
 
 

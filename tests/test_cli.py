@@ -307,6 +307,27 @@ def test_bad_config_line_exits_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_config_keys_are_the_subcommands_own_options(tmp_path):
+    cfg = tmp_path / "align.cfg"
+    cfg.write_text("# align\n\nprior-scale = 0.5\nout_stats=a=b.tsv\n", encoding="utf-8")
+    a = cli._Args(cli.build_parser().parse_args(["align", "--config", str(cfg)]))
+    assert a.config == {"prior_scale": "0.5", "out_stats": "a=b.tsv"}
+    assert a.get("prior_scale", None, float) == 0.5
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("train", "epochs=3\nepochz=3\n", "unknown key 'epochz'"),
+    ("align", "out-stats=s.tsv\nlambda=0.3\n", "unknown key 'lambda'"),
+    ("align", "prior_scale=0.3\nprior-scale=0.9\n", "repeated key 'prior_scale'"),
+])
+def test_config_refuses_an_unknown_or_repeated_key_at_its_line(tmp_path, capsys,
+                                                               command, body, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(body, encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: {message}" in capsys.readouterr().err
+
+
 def test_missing_option_exits_2(capsys):
     rc = main(["init"])
     assert rc == 2
@@ -343,10 +364,11 @@ def test_numerical_failure_exits_3(datadir, tmp_path, capsys):
     broken = str(tmp_path / "broken.tsv")
     save_params(params, broken)
     capsys.readouterr()
-    rc = main(["align", "--features", f"{d}/features.tsv", "--transcripts",
-               f"{d}/transcripts.tsv", "--vocab", vocab0, "--segtable", table0,
-               "--params", broken, "--lambda", "0.3", "--out-stats",
-               str(tmp_path / "stats.tsv")])
+    with pytest.warns(RuntimeWarning):
+        rc = main(["align", "--features", f"{d}/features.tsv", "--transcripts",
+                   f"{d}/transcripts.tsv", "--vocab", vocab0, "--segtable", table0,
+                   "--params", broken, "--lambda", "0.3", "--out-stats",
+                   str(tmp_path / "stats.tsv")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -74,6 +74,15 @@ def test_transcripts_round_trip(tmp_path):
         read_transcripts(p)
 
 
+def test_transcripts_refuse_a_reserved_character_at_its_line(tmp_path):
+    feats, trans = tmp_path / "feats.tsv", tmp_path / "trans.tsv"
+    write_features([FeatureMatrix("u0", [[1.0]]), FeatureMatrix("u1", [[2.0]])], feats)
+    trans.write_text("#adsm-trans-v1\nu0\tab c\nu1\tc a_b\n")
+    with pytest.raises(FormatError, match="reserved") as err:
+        load_corpus(feats, trans)
+    assert (err.value.path, err.value.line) == (trans, 3)
+
+
 def test_targets_round_trip(tmp_path):
     p = tmp_path / "targets.tsv"
     write_targets([("u0", ("ab", "c_")), ("u1", ("c_",))], p)

@@ -387,9 +387,11 @@ ITEM_LINES = [(write_transcripts, read_transcripts, "#adsm-trans-v1"),
               (write_targets, read_targets, "#adsm-targets-v1")]
 
 
-def item_rows(min_size=0):
-    """Rows of distinct utterance ids, each with one to four items."""
-    item = st.builds(str.__add__, SPELLING, st.sampled_from(["", "_"]))
+def item_rows(read, min_size=0):
+    """Rows of distinct utterance ids, each with one to four items: words for
+    a transcript, words with or without the word-end mark for targets."""
+    marks = ["", "_"] if read is read_targets else [""]
+    item = st.builds(str.__add__, SPELLING, st.sampled_from(marks))
     return st.dictionaries(st.text(alphabet="uv01", min_size=1, max_size=3),
                            st.lists(item, min_size=1, max_size=4).map(tuple),
                            min_size=min_size, max_size=5)
@@ -397,8 +399,9 @@ def item_rows(min_size=0):
 
 @pytest.mark.parametrize("write, read, header", ITEM_LINES)
 @FORMATS
-@given(rows=item_rows())
-def test_transcripts_and_targets_round_trip(write, read, header, rows):
+@given(data=st.data())
+def test_transcripts_and_targets_round_trip(write, read, header, data):
+    rows = data.draw(item_rows(read))
     lines = saved_lines(lambda path: write(rows.items(), path))
     assert lines[0] == header
     assert load_lines(read, lines) == rows
@@ -406,9 +409,9 @@ def test_transcripts_and_targets_round_trip(write, read, header, rows):
 
 @pytest.mark.parametrize("write, read, header", ITEM_LINES)
 @FORMATS
-@given(rows=item_rows(min_size=1), data=st.data())
-def test_transcripts_and_targets_reject_a_bad_line_at_its_number(write, read, header,
-                                                                 rows, data):
+@given(data=st.data())
+def test_transcripts_and_targets_reject_a_bad_line_at_its_number(write, read, header, data):
+    rows = data.draw(item_rows(read, min_size=1))
     lines = saved_lines(lambda path: write(rows.items(), path))
     i = data.draw(st.integers(1, len(lines) - 1))
     utt_id, items = lines[i].split("\t")

@@ -5,9 +5,8 @@ import pytest
 
 from adsm import lattice as lattice_mod
 from adsm.lattice import (UttLattice, build_word_dag_explicit, build_word_dag_implicit,
-                          concat_utterance, ctc_expand, dump_dag, dump_graph,
-                          expand_lattices, lattice_from_dag, path_stats,
-                          path_length_stats)
+                          concat_utterance, ctc_expand, expand_lattices,
+                          lattice_from_dag, path_stats, path_length_stats)
 from adsm.vocab import Vocabulary
 from conftest import chars_vocab, enumerate_segmentations, flagged, random_oracle_instance
 from _reference import ctc_expand_reference, enumerate_label_paths
@@ -221,19 +220,6 @@ def graph_label_paths(g):
         if g.labels[s] != g.blank:
             walk(s, ())
     return out
-
-
-def test_dumps_are_line_oriented():
-    vocab = chars_vocab("ab")
-    dag = build_word_dag_implicit("ab", vocab)
-    text = dump_dag(dag, vocab)
-    assert text.startswith("#adsm-dag-v1\n")
-    assert "arc 0 1 a" in text
-    g = ctc_expand(lattice_from_dag(dag), vocab)
-    gtext = dump_graph(g, vocab)
-    assert gtext.startswith("#adsm-graph-v1\n")
-    assert gtext.count("state ") == g.n_states
-    assert gtext.count("\narc ") == len(g.transitions())
 
 
 GRAPH_FIELDS = ("labels", "initial", "final", "pred", "succ", "state_arc", "state_word")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from adsm import pipeline
 from adsm.corpus import (FeatureMatrix, SyntheticSpec, g2p_entries_for, gen_synthetic,
                          read_targets)
-from adsm.ctc import estimate_prior
+from adsm.ctc import batch_viterbi, estimate_prior
 from adsm.encoder import CHUNK, TrainConfig, encode, init_params, subsampled_length, train
 from adsm.errors import FormatError
 from adsm.lexicon import build_initial_vocab, make_initial_segtable
@@ -189,6 +190,40 @@ def test_align_corpus_in_chunks_equals_one_by_one():
             assert aligned == want_aligned
             assert stats.counts == want_stats.counts
             assert skipped == want_skipped
+
+
+def test_align_corpus_chunks_by_length_and_returns_dataset_order(monkeypatch):
+    (corp, _), entries = mini_corpus(n=40, seed=5)
+    vocab = build_initial_vocab(entries, corp.words())
+    table = make_initial_segtable(corp.words(), vocab)
+    params = init_params(6, (16,), vocab.num_classes, 2, (1,), 4)
+    dataset = []
+    for i, (feats, lat) in enumerate(build_dataset(corp, vocab, table)):
+        keep = len(feats.values) // 2 - 2 if i % 6 == 1 else None
+        dataset.append((FeatureMatrix(feats.utt_id, feats.values[:keep]), lat))
+    dataset.sort(key=lambda pair: -len(pair[0].values))
+    graphs = [ctc_expand(lat, vocab) for _, lat in dataset]
+    calls = []
+
+    def recording(chunk_graphs, posteriors, *args):
+        calls.append([(id(g), len(p)) for g, p in zip(chunk_graphs, posteriors)])
+        return batch_viterbi(chunk_graphs, posteriors, *args)
+
+    monkeypatch.setattr(pipeline, "batch_viterbi", recording)
+    aligned, stats, skipped = align_corpus(params, dataset, 0.3, vocab, graphs)
+    want_aligned, want_stats, want_skipped = _align_one_by_one(params, dataset, 0.3, vocab)
+    assert (aligned, stats.counts, skipped) == (want_aligned, want_stats.counts,
+                                                want_skipped)
+    assert skipped == 7 and len(aligned) > 2 * CHUNK
+    assert all(len(call) <= CHUNK for call in calls)
+    lengths = [n for call in calls for _, n in call]
+    assert lengths == sorted(lengths) and lengths[0] < lengths[-1]
+    assert sorted(g for call in calls for g, _ in call) == sorted(
+        id(graphs[ali.index]) for ali in aligned)
+    assert [ali.index for ali in aligned] == sorted({ali.index for ali in aligned})
+    assert [ali.utt_id for ali in aligned] == [
+        feats.utt_id for (feats, _), g in zip(dataset, graphs)
+        if subsampled_length(len(feats.values), 2) >= g.min_frames]
 
 
 def test_refine_filters_and_renormalizes():
