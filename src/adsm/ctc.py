@@ -70,10 +70,6 @@ def logsumexp(x: np.ndarray, axis: int = 0) -> np.ndarray:
         return np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
 
 
-def _max(x: np.ndarray) -> np.ndarray:
-    return x.max(axis=0)
-
-
 def _stack(graphs: Sequence[CtcGraph], lengths: np.ndarray):
     """The graphs stacked block-diagonally, each checked against its frame
     count: (block offsets, owner block and label of each state, offset
@@ -245,22 +241,23 @@ def log_loss(graph: CtcGraph, logp: np.ndarray,
     return losses[0].item(), None if occ is None else occ[0]
 
 
-def _trace(graphs: Sequence[CtcGraph], scores: Sequence[np.ndarray], reduce,
-           pick) -> list[Alignment]:
+def _trace(graphs: Sequence[CtcGraph], scores: np.ndarray, lengths: np.ndarray, reduce,
+           pick) -> tuple[np.ndarray, np.ndarray]:
     """Sweep forward with ``reduce`` over the graphs stacked block-diagonally,
-    each block's emissions taken from its own (T_b, C) ``scores`` and -inf
-    after them, then walk all B paths back together, each from its own last
-    frame.  ``pick`` maps a (k, B) array of candidate scores to one row index
-    per column: first a final state, then, once per frame, each path's
-    earlier state among the predecessors of its later one."""
-    lengths = np.array([len(s) for s in scores])
-    offsets, owner, _, first, final, table = _stack(graphs, lengths)
-    B, T = len(graphs), lengths.max()
-    emit = np.full((T, offsets[-1] + 1), -np.inf)      # with the sentinel's slot
-    for graph, s, lo, hi in zip(graphs, scores, offsets, offsets[1:]):
-        emit[: len(s), lo:hi] = s[:, graph.labels]
+    block b's emissions gathered from ``scores[b]`` ((B, T, C)), then walk
+    all B paths back together, each from its own last frame ``lengths[b] -
+    1``.  A block's rows after its last frame may hold any finite values or
+    -inf: no path through them is walked back.  ``pick`` maps a (k, B) array
+    of candidate scores to one row index per column: first a final state,
+    then, once per frame, each path's earlier state among the predecessors of
+    its later one.  Returns the (T, B) paths, ``path[k, b]`` the stacked
+    state of utterance b at its frame ``lengths[b] - 1 - k`` (meaningless
+    from ``k = lengths[b]`` on), and the block offsets."""
+    offsets, owner, labels, first, final, table = _stack(graphs, lengths)
+    emit = _emissions(scores, owner, labels)
     score = _sweep(table, first, emit, reduce)
     score += emit
+    B, T = len(graphs), scores.shape[1]
     block = owner[final]    # each block's final states down its own column
     rank = np.arange(len(final)) - np.searchsorted(block, block)
     finals = np.full((rank.max() + 1, B), offsets[-1])
@@ -269,7 +266,7 @@ def _trace(graphs: Sequence[CtcGraph], scores: Sequence[np.ndarray], reduce,
     ends = score[last, finals]
     if (ends.max(0) == -np.inf).any():
         raise InfeasibleUtteranceError("no accepted path of this length")
-    path = np.empty((T, B), dtype=np.intp)      # path[k, b]: state at frame last[b] - k
+    path = np.empty((T, B), dtype=np.intp)
     path[0] = cur = finals[pick(ends), cols]
     for k in range(1, T):
         # A path already at its frame 0 reads a wrapped-around row; as every
@@ -277,8 +274,7 @@ def _trace(graphs: Sequence[CtcGraph], scores: Sequence[np.ndarray], reduce,
         # so it still picks real states, which are never read.
         preds = table[:, cur]
         path[k] = cur = preds[pick(score[last - k, preds]), cols]
-    return [_alignment_from_states(graph, path[n - 1 :: -1, b] - lo)
-            for b, (graph, n, lo) in enumerate(zip(graphs, lengths, offsets))]
+    return path, offsets
 
 
 def _alignment_from_states(graph: CtcGraph, states: np.ndarray) -> Alignment:
@@ -299,9 +295,24 @@ def _alignment_from_states(graph: CtcGraph, states: np.ndarray) -> Alignment:
                      tuple((a, b) for a, b in spans))
 
 
-def _first_max(x: np.ndarray) -> np.ndarray:
-    """Row of each column's maximum; ties go to the first row."""
-    return x.argmax(axis=0)
+def viterbi_paths(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.ndarray,
+                  prior: np.ndarray | None = None,
+                  prior_scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Best accepted paths of B utterances under their (B, T, C) ``logp``
+    divided by the prior as in :func:`viterbi` (block b's rows from
+    ``lengths[b]`` on ignored), from one max sweep and one backtrace: the
+    (T, B) paths and block offsets of :func:`_trace`."""
+    if not 0.0 <= prior_scale <= 1.0:
+        raise ValueError("prior scale must lie in [0, 1]")
+    if prior_scale > 0.0:
+        if prior is None:
+            raise ValueError("prior_scale > 0 requires a prior")
+        prior = np.asarray(prior, dtype=np.float64)
+        if prior.shape != logp.shape[2:]:
+            raise ValueError("prior shape does not match class count")
+        logp = logp - prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
+    # ties go to the first row: the smallest state id
+    return _trace(graphs, logp, lengths, lambda x: x.max(axis=0), lambda x: x.argmax(axis=0))
 
 
 def batch_viterbi(graphs: Sequence[CtcGraph], posteriors: Sequence[np.ndarray],
@@ -312,17 +323,13 @@ def batch_viterbi(graphs: Sequence[CtcGraph], posteriors: Sequence[np.ndarray],
     ``posteriors[b]`` is that utterance's own unpadded (T_b, C) matrix; every
     path is state for state that of a separate call."""
     posteriors = [_check_posteriors(logp) for logp in posteriors]
-    if not 0.0 <= prior_scale <= 1.0:
-        raise ValueError("prior scale must lie in [0, 1]")
-    if prior_scale > 0.0:
-        if prior is None:
-            raise ValueError("prior_scale > 0 requires a prior")
-        prior = np.asarray(prior, dtype=np.float64)
-        if any(prior.shape != (logp.shape[1],) for logp in posteriors):
-            raise ValueError("prior shape does not match class count")
-        shift = prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
-        posteriors = [logp - shift for logp in posteriors]
-    return _trace(graphs, posteriors, _max, _first_max)
+    lengths = np.array([len(logp) for logp in posteriors])
+    padded = np.full((len(posteriors), lengths.max(), posteriors[0].shape[1]), -np.inf)
+    for row, logp in zip(padded, posteriors):
+        row[: len(logp)] = logp
+    path, offsets = viterbi_paths(graphs, padded, lengths, prior, prior_scale)
+    return [_alignment_from_states(graph, path[n - 1 :: -1, b] - lo)
+            for b, (graph, n, lo) in enumerate(zip(graphs, lengths, offsets))]
 
 
 def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
@@ -363,8 +370,9 @@ def sample_path(graph: CtcGraph, logp: np.ndarray, temperature: float = 1.0,
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return _trace([graph], [logp / temperature], logsumexp,
-                  lambda logw: [_draw(logw[:, 0], rng)])[0]
+    path, _ = _trace([graph], (logp / temperature)[None], np.array([len(logp)]), logsumexp,
+                     lambda logw: [_draw(logw[:, 0], rng)])
+    return _alignment_from_states(graph, path[::-1, 0])
 
 
 def _draw(logw: np.ndarray, rng: np.random.Generator) -> int:

@@ -80,9 +80,6 @@ class EncoderParams:
     def hidden_sizes(self) -> tuple[int, ...]:
         return tuple(w.shape[1] for w in self.weights)
 
-    def n_params(self) -> int:
-        return sum(a.size for a in self.arrays())
-
     def arrays(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases, self.out_w, self.out_b]
 
@@ -226,9 +223,16 @@ def _forward(x: np.ndarray, lengths: np.ndarray, params: EncoderParams):
     return logp, lengths, (stages, h)
 
 
+def encode_batch(xs: Sequence[np.ndarray],
+                 params: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T', C) log-posteriors and lengths of B utterances from one pass;
+    each utterance's rows are bitwise its :func:`encode` matrix."""
+    return _forward(*_pad(xs, params), params)[:2]
+
+
 def encode(x: np.ndarray, params: EncoderParams) -> np.ndarray:
     """Log-posterior matrix, ceil(T / subsample_factor) rows."""
-    return _forward(*_pad([x], params), params)[0][0]
+    return encode_batch([x], params)[0][0]
 
 
 def _backward(dscore: np.ndarray, params: EncoderParams, cache):
@@ -291,8 +295,24 @@ def _as_graphs(items, vocab) -> list[CtcGraph]:
     return [next(expanded) if isinstance(item, UttLattice) else item for item in items]
 
 
-def _features(item) -> np.ndarray:
-    return np.asarray(getattr(item, "values", item), dtype=np.float64)
+def feasible_items(dataset, params: EncoderParams, vocab=None, graphs=None):
+    """The utterances of (features, lattice-or-graph) pairs whose subsampled
+    length can realize an accepted path, as (index, features, graph), and
+    the number skipped.  ``graphs``, when given, holds each pair's graph."""
+    if graphs is None:
+        graphs = _as_graphs([lat for _, lat in dataset], vocab)
+    items, skipped = [], 0
+    for i, ((feats, _), graph) in enumerate(zip(dataset, graphs)):
+        x = np.asarray(getattr(feats, "values", feats), dtype=np.float64)
+        if subsampled_length(x.shape[0], params.subsample_factor) < graph.min_frames:
+            skipped += 1
+        else:
+            items.append((i, x, graph))
+    if not items:
+        raise ValueError("every utterance is infeasible at this subsampling")
+    if skipped:
+        log.info("skipped %d infeasible utterances", skipped)
+    return items, skipped
 
 
 def train(dataset, params: EncoderParams, config: TrainConfig,
@@ -303,19 +323,8 @@ def train(dataset, params: EncoderParams, config: TrainConfig,
     skipped and counted.  Returns the parameters of the best held-out epoch
     (training-loss epoch when the split is empty) and the loss curve.
     """
-    dataset = list(dataset)
-    items = []
-    skipped = 0
-    for (feats, _), graph in zip(dataset, _as_graphs([lat for _, lat in dataset], vocab)):
-        x = _features(feats)
-        if subsampled_length(x.shape[0], params.subsample_factor) < graph.min_frames:
-            skipped += 1
-            continue
-        items.append((x, graph))
-    if not items:
-        raise ValueError("every utterance is infeasible at this subsampling")
-    if skipped:
-        log.info("skipped %d infeasible utterances", skipped)
+    items, skipped = feasible_items(list(dataset), params, vocab)
+    items = [(x, graph) for _, x, graph in items]
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(items))
@@ -458,16 +467,3 @@ def _named_arrays(params: EncoderParams):
         yield f"b{i}", b
     yield "out_w", params.out_w
     yield "out_b", params.out_b
-
-
-def flatten_params(params: EncoderParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.arrays()])
-
-
-def set_flat_params(params: EncoderParams, vec: np.ndarray) -> None:
-    pos = 0
-    for a in params.arrays():
-        a[...] = vec[pos : pos + a.size].reshape(a.shape)
-        pos += a.size
-    if pos != vec.size:
-        raise ValueError("flat vector length mismatch")

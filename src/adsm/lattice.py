@@ -189,11 +189,6 @@ class CtcGraph:
     def num_classes(self) -> int:
         return self.blank + 1
 
-    def transitions(self) -> list[tuple[int, int]]:
-        """All (from, to) pairs, self loops included."""
-        n = self.n_states
-        return [(int(p), s) for s in range(n) for p in self.pred[:, s] if p < n]
-
 
 def ctc_expand(lattice: UttLattice, vocab: Vocabulary) -> CtcGraph:
     """Blank-augment a lattice into its frame-transition graph."""

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import corpus as corpus_io
-from .ctc import batch_viterbi, estimate_prior
-from .encoder import (CHUNK, EncoderParams, TrainConfig, encode, init_params,
-                      resize_output, save_params, subsampled_length, train)
+from .ctc import estimate_prior, viterbi_paths
+from .encoder import (CHUNK, EncoderParams, TrainConfig, encode_batch, feasible_items,
+                      init_params, resize_output, save_params, train)
 from .errors import located, read_rows
 from .lattice import (UttLattice, build_word_dag_explicit,
                       build_word_dag_implicit, concat_utterance, expand_lattices)
@@ -156,62 +156,63 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
     variants.  ``graphs``, when given, holds each lattice's expanded graph;
     otherwise the lattices are expanded here.
 
-    The label prior is estimated from this model's posteriors over the very
-    utterances being aligned, then flattens the scores as
-    ``logp - prior_scale * log q``.  :func:`batch_viterbi` aligns the
-    feasible utterances ``CHUNK`` at a time, chunked in order of subsampled
-    length (ties by dataset position) so each chunk's sweep and backtrace
-    run only as long as its own longest utterance.  Encoding, the prior, the
-    returned alignments and the stats all keep dataset order.  Returns
-    (alignments, stats, skipped).
+    The feasible utterances are sorted by subsampled length (ties by dataset
+    position) and cut into chunks of ``CHUNK``, so each chunk's encoder
+    pass, Viterbi sweep and backtrace run only as long as its own longest
+    utterance.  The chunks are encoded longest first, while few posteriors
+    are held.  The label prior is estimated from these posteriors in dataset
+    order and flattens the scores as ``logp - prior_scale * log q``; the
+    chunks are aligned shortest first, and each path's states map straight
+    to its words' arcs.  The alignments and the stats keep dataset order.
+    Returns (alignments, stats, skipped).
     """
     if params.num_classes != vocab.num_classes:
         raise ValueError(f"the encoder has {params.num_classes} classes, "
                          f"the vocabulary {vocab.num_classes}")
     dataset = list(dataset)
-    if graphs is None:
-        graphs = expand_lattices([lat for _, lat in dataset], vocab)
-    posteriors = []
-    feasible = []
-    skipped = 0
-    for i, ((feats, lat), graph) in enumerate(zip(dataset, graphs)):
-        x = np.asarray(getattr(feats, "values", feats), dtype=np.float64)
-        if subsampled_length(x.shape[0], params.subsample_factor) < graph.min_frames:
-            skipped += 1
-            continue
-        feasible.append((i, feats, lat, graph))
-        posteriors.append(encode(x, params))
-    if not feasible:
-        raise ValueError("every utterance is infeasible at this subsampling")
-    if skipped:
-        log.info("alignment skipped %d infeasible utterances", skipped)
-    prior = estimate_prior(posteriors, params.num_classes)
+    feasible, skipped = feasible_items(dataset, params, vocab, graphs)
+    # a stable sort: equal lengths keep dataset order
+    order = sorted(range(len(feasible)), key=lambda k: len(feasible[k][1]))
+    chunks = [order[lo : lo + CHUNK] for lo in range(0, len(order), CHUNK)]
+    encoded = [None] * len(chunks)
+    rows = [None] * len(feasible)
+    for c in reversed(range(len(chunks))):
+        encoded[c] = logp, lengths = encode_batch([feasible[k][1] for k in chunks[c]], params)
+        for k, row, n in zip(chunks[c], logp, lengths):
+            rows[k] = row[:n]
+    prior = estimate_prior(rows, params.num_classes)
+    del rows    # each chunk's posteriors go once it is aligned
 
     word_variants = [None] * len(feasible)
-    # a stable sort: equal lengths keep dataset order
-    order = sorted(range(len(feasible)), key=lambda k: len(posteriors[k]))
-    for lo in range(0, len(order), CHUNK):
-        chunk = order[lo : lo + CHUNK]
-        alignments = batch_viterbi([feasible[k][3] for k in chunk],
-                                   [posteriors[k] for k in chunk], prior, prior_scale)
-        for k, ali in zip(chunk, alignments):
-            _, _, lat, graph = feasible[k]
-            per_word: dict[int, list[int]] = {}
-            for state in dict.fromkeys(ali.frame_states):
-                arc = int(graph.state_arc[state])
-                if arc < 0:
-                    continue
-                per_word.setdefault(int(graph.state_word[state]), []).append(arc)
+    for c, chunk in enumerate(chunks):
+        (logp, lengths), encoded[c] = encoded[c], None
+        chunk_graphs = [feasible[k][2] for k in chunk]
+        path, _ = viterbi_paths(chunk_graphs, logp, lengths, prior, prior_scale)
+        # every path's states in frame order, path after path; a path never
+        # returns to a state it has left, so a new state starts its one visit
+        owner = np.repeat(np.arange(len(chunk)), lengths)
+        states = path[np.cumsum(lengths)[owner] - 1 - np.arange(len(owner)), owner]
+        arcs = np.concatenate([g.state_arc for g in chunk_graphs])[states]
+        words = np.concatenate([g.state_word for g in chunk_graphs])[states]
+        visit = np.r_[True, states[1:] != states[:-1]] & (arcs >= 0)
+        arcs, words, owner = arcs[visit], words[visit], owner[visit]
+        # every word of an accepted path has an arc, so the runs of equal
+        # (path, word) are the chunk's words in order
+        cuts = np.flatnonzero((owner[1:] != owner[:-1]) | (words[1:] != words[:-1])) + 1
+        bounds = [0, *cuts.tolist(), len(arcs)]
+        arcs, runs = arcs.tolist(), zip(bounds, bounds[1:])
+        for k in chunk:
+            lat = dataset[feasible[k][0]][1]
             word_variants[k] = tuple(
-                (word, tuple(vocab.unit(lat.arcs[a][2]) for a in per_word[w]))
-                for w, word in enumerate(lat.words))
+                (word, tuple(vocab.unit(lat.arcs[a][2]) for a in arcs[lo:hi]))
+                for word, (lo, hi) in zip(lat.words, runs))
 
     stats = VariantStats()
     aligned = []
-    for (i, feats, _, _), variants in zip(feasible, word_variants):
+    for (i, _, _), variants in zip(feasible, word_variants):
         for word, variant in variants:
             stats.add(word, variant)
-        aligned.append(AlignedUtt(i, getattr(feats, "utt_id", str(i)), variants))
+        aligned.append(AlignedUtt(i, getattr(dataset[i][0], "utt_id", str(i)), variants))
     return aligned, stats, skipped
 
 

@@ -6,7 +6,9 @@ forward-backward pass over a graph's transition list in extended precision,
 a textbook back-pointer Viterbi, brute-force enumeration of label paths and of
 accepted frame strings, and the plain one-lattice-at-a-time expansion of a
 lattice into its frame-transition graph.  No code is shared with the
-package's graph-based machinery on purpose.
+package's graph-based machinery on purpose.  Also the helpers only the tests
+need: a graph's transition list, and an encoder's parameters as one flat
+vector.
 """
 
 import itertools
@@ -21,6 +23,29 @@ from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import CtcGraph, UttLattice, WordSegDAG, lattice_from_dag
 
 NEG_INF = float("-inf")
+
+
+def transitions(graph: CtcGraph) -> list[tuple[int, int]]:
+    """All (from, to) pairs, self loops included."""
+    n = graph.n_states
+    return [(int(p), s) for s in range(n) for p in graph.pred[:, s] if p < n]
+
+
+def n_params(params) -> int:
+    return sum(a.size for a in params.arrays())
+
+
+def flatten_params(params) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in params.arrays()])
+
+
+def set_flat_params(params, vec: np.ndarray) -> None:
+    pos = 0
+    for a in params.arrays():
+        a[...] = vec[pos : pos + a.size].reshape(a.shape)
+        pos += a.size
+    if pos != vec.size:
+        raise ValueError("flat vector length mismatch")
 
 
 def ctc_loss_single(logp: np.ndarray, labels, blank: int) -> float:
@@ -67,7 +92,7 @@ def forward_backward_extended(graph, logp: np.ndarray) -> tuple[float, np.ndarra
     (80-bit extended precision on x86), each frame's forward row divided by
     its sum and the backward row by the same number."""
     T, S = logp.shape[0], graph.n_states
-    frm, to = np.array(graph.transitions()).T
+    frm, to = np.array(transitions(graph)).T
     p = np.exp(logp.astype(np.longdouble))[:, graph.labels]
     alpha = np.zeros((T, S), np.longdouble)
     scale = np.zeros(T, np.longdouble)
@@ -100,7 +125,7 @@ def viterbi_states(graph, scores: np.ndarray) -> tuple[int, ...]:
     at the last frame to the earliest of ``graph.final``."""
     T, n = scores.shape[0], graph.n_states
     preds = [[] for _ in range(n)]
-    for p, s in graph.transitions():
+    for p, s in transitions(graph):
         preds[s].append(p)
     emit = [[float(scores[t, graph.labels[s]]) for s in range(n)] for t in range(T)]
     delta = [NEG_INF] * n

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from adsm.corpus import (FeatureMatrix, read_features, read_targets, read_transcripts,
                          write_features, write_targets, write_transcripts)
-from adsm.encoder import flatten_params, init_params, load_params, save_params, set_flat_params
+from adsm.encoder import init_params, load_params, save_params
 from adsm.errors import FormatError
 from adsm.lexicon import G2PEntry, parse_g2p
 from adsm.pipeline import VariantStats
 from adsm.textseg import BOS, EOS, SubwordNgramLM, train_lm
 from adsm.vocab import SegMode, SegTable, Vocabulary, marked
+from _reference import flatten_params, set_flat_params
 
 # Reproducible runs that leave no example database behind.
 FORMATS = settings(max_examples=60, deadline=None, derandomize=True, database=None)

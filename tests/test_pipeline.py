@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from adsm import pipeline
+from adsm import encoder, pipeline
 from adsm.corpus import (FeatureMatrix, SyntheticSpec, g2p_entries_for, gen_synthetic,
                          read_targets)
-from adsm.ctc import batch_viterbi, estimate_prior
+from adsm.ctc import estimate_prior, viterbi_paths
 from adsm.encoder import CHUNK, TrainConfig, encode, init_params, subsampled_length, train
-from adsm.errors import FormatError
+from adsm.errors import FormatError, NumericalError
 from adsm.lexicon import build_initial_vocab, make_initial_segtable
 from adsm.pipeline import (AlignedUtt, PipelineConfig, VariantStats,
                            align_corpus, build_dataset, finalize, make_targets,
@@ -205,11 +205,11 @@ def test_align_corpus_chunks_by_length_and_returns_dataset_order(monkeypatch):
     graphs = [ctc_expand(lat, vocab) for _, lat in dataset]
     calls = []
 
-    def recording(chunk_graphs, posteriors, *args):
-        calls.append([(id(g), len(p)) for g, p in zip(chunk_graphs, posteriors)])
-        return batch_viterbi(chunk_graphs, posteriors, *args)
+    def recording(chunk_graphs, logp, lengths, *args):
+        calls.append([(id(g), n) for g, n in zip(chunk_graphs, lengths)])
+        return viterbi_paths(chunk_graphs, logp, lengths, *args)
 
-    monkeypatch.setattr(pipeline, "batch_viterbi", recording)
+    monkeypatch.setattr(pipeline, "viterbi_paths", recording)
     aligned, stats, skipped = align_corpus(params, dataset, 0.3, vocab, graphs)
     want_aligned, want_stats, want_skipped = _align_one_by_one(params, dataset, 0.3, vocab)
     assert (aligned, stats.counts, skipped) == (want_aligned, want_stats.counts,
@@ -224,6 +224,41 @@ def test_align_corpus_chunks_by_length_and_returns_dataset_order(monkeypatch):
     assert [ali.utt_id for ali in aligned] == [
         feats.utt_id for (feats, _), g in zip(dataset, graphs)
         if subsampled_length(len(feats.values), 2) >= g.min_frames]
+
+
+def _counted_alignment_inputs(monkeypatch):
+    """37 feasible utterances, and the list that records the batch size of
+    every encoder pass from then on."""
+    (corp, _), entries = mini_corpus(n=37, seed=7)
+    vocab = build_initial_vocab(entries, corp.words())
+    table = make_initial_segtable(corp.words(), vocab)
+    params = init_params(6, (16,), vocab.num_classes, 2, (1,), 6)
+    calls = []
+    forward = encoder._forward
+
+    def counted(x, lengths, params):
+        calls.append(len(lengths))
+        return forward(x, lengths, params)
+
+    monkeypatch.setattr(encoder, "_forward", counted)
+    return params, build_dataset(corp, vocab, table), vocab, calls
+
+
+def test_align_corpus_encodes_each_chunk_in_one_pass(monkeypatch):
+    params, dataset, vocab, calls = _counted_alignment_inputs(monkeypatch)
+    aligned, _, skipped = align_corpus(params, dataset, 0.3, vocab)
+    assert skipped == 0 and len(aligned) == 37
+    assert len(calls) <= -(-len(aligned) // CHUNK)
+    assert sum(calls) == len(aligned)
+
+
+def test_align_corpus_overflow_raises_at_the_first_chunk(monkeypatch):
+    params, dataset, vocab, calls = _counted_alignment_inputs(monkeypatch)
+    # finite weights whose output scores overflow: non-finite posteriors
+    params.out_w[:] = 1e308
+    with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
+        align_corpus(params, dataset, 0.3, vocab)
+    assert len(calls) == 1
 
 
 def test_refine_filters_and_renormalizes():
