@@ -1,29 +1,30 @@
 """Exact dynamic programming over frame-transition graphs.
 
 Every DP stacks its B graphs block-diagonally, one block per utterance, and
-steps through the frames over the blocks' padded neighbour tables, so each
-step is a single vectorized gather and reduction.  The training loss's
-forward-backward runs in linear space with per-block scaling (Rabiner 1989):
-emissions are divided by their per-frame maximum, forward rows are
-renormalised every frame, and the loss is the sum of the logs of the
-normalisers and shifts.  A path whose partial mass falls below about e^-708
-of its utterance's at some frame is lost; an utterance whose loss or
-occupancy comes out non-finite that way is recomputed in log space.  Both
-spaces share one backward loop, which runs in natural frame order and starts
-each block at its own last frame; no frames are reversed.  Viterbi, sampling
-and the log-space forward share one frame loop that differs only in its
-reduction (log-sum-exp or max).
+steps through the frames over the blocks' padded predecessor tables, so each
+step is a single vectorized gather and reduction; the backward pass inverts
+the stacked predecessor table into the successor table it gathers through.
+The training loss's forward-backward runs in linear space with per-block
+scaling (Rabiner 1989): emissions are divided by their per-frame maximum,
+forward rows are renormalised every frame, and the loss is the sum of the
+logs of the normalisers and shifts.  A path whose partial mass falls below
+about e^-708 of its utterance's at some frame is lost; an utterance whose
+loss or occupancy comes out non-finite that way is recomputed in log space.
+Both spaces share one backward loop, which runs in natural frame order and
+starts each block at its own last frame; no frames are reversed.  Viterbi,
+sampling and the log-space forward share one frame loop that differs only in
+its reduction (log-sum-exp or max).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InfeasibleUtteranceError, NumericalError
-from .lattice import CtcGraph
+from .lattice import CtcGraph, _neighbour_tables
 
 PRIOR_FLOOR = 1e-10
 
@@ -88,7 +89,7 @@ def _stack(graphs: Sequence[CtcGraph], lengths: np.ndarray):
 
 
 def _block_table(tables: Sequence[np.ndarray], offsets: np.ndarray) -> np.ndarray:
-    """Block-diagonal union of padded neighbour tables: graph b's states move
+    """Block-diagonal union of padded predecessor tables: graph b's states move
     to ``offsets[b]:offsets[b + 1]``, and every pad reads the shared sentinel.
     A single table is its own union."""
     if len(tables) == 1:
@@ -121,15 +122,25 @@ def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np
     return rows
 
 
-def _backward(graphs: Sequence[CtcGraph], offsets: np.ndarray, final: np.ndarray,
-              ends: np.ndarray, beta: np.ndarray, one: float, step) -> np.ndarray:
+def _successors(pred: np.ndarray) -> np.ndarray:
+    """The successor table of a stacked predecessor table: column p lists the
+    states whose predecessors include p, ascending, padded with the sentinel
+    S that pads ``pred``."""
+    S = pred.shape[1]
+    k, to = np.nonzero(pred < S)
+    return _neighbour_tables(pred[k, to], to, np.array([0, S]))[0]
+
+
+def _backward(pred: np.ndarray, final: np.ndarray, ends: np.ndarray, beta: np.ndarray,
+              one: float, step) -> np.ndarray:
     """The backward pass into ``beta`` ((T, S + 1), filled with the zero of
     its space) in natural frame order: row t is ``step(row[t+1], t + 1,
-    table)`` over the block-diagonal successor ``table``, then the ``final``
-    states whose block's last frame (``ends``) is t are set to ``one``.  A
-    block's rows after its last frame carry no mass (in linear space they
-    may hold NaN, should its forward pass die out in the padding)."""
-    table = _block_table([g.succ for g in graphs], offsets)
+    table)`` over the successor ``table`` of the stacked ``pred``, then the
+    ``final`` states whose block's last frame (``ends``) is t are set to
+    ``one``.  A block's rows after its last frame carry no mass (in linear
+    space they may hold NaN, should its forward pass die out in the
+    padding)."""
+    table = _successors(pred)
     last_frames = set(ends.tolist())
     for t in range(len(beta) - 1, -1, -1):
         if t < len(beta) - 1:
@@ -154,7 +165,7 @@ def _log_space_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.nd
     """:func:`batch_log_loss` with every quantity in log space: the
     fallback for blocks whose scaled sweep underflows.  Same stack and same
     backward loop; only the per-frame gather reduces by log-sum-exp."""
-    offsets, owner, labels, first, final, pred = _stack(graphs, lengths)
+    _, owner, labels, first, final, pred = _stack(graphs, lengths)
     emit = _emissions(logp, owner, labels)
     ends = lengths[owner[final]] - 1
     alpha = _sweep(pred, first, emit, logsumexp) + emit
@@ -164,7 +175,7 @@ def _log_space_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.nd
         raise NumericalError("all accepted paths carry zero probability")
     if not occupancy:
         return -totals, None
-    beta = _backward(graphs, offsets, final, ends, np.full(emit.shape, -np.inf), 0.0,
+    beta = _backward(pred, final, ends, np.full(emit.shape, -np.inf), 0.0,
                      lambda row, t, table: logsumexp((row + emit[t])[table]))
     gamma = np.exp(alpha[:, :-1] + beta[:, :-1] - totals[owner])   # (T, S) state occupancy
     return -totals, _occupancy(gamma, owner, labels, logp.shape)
@@ -211,7 +222,7 @@ def batch_log_loss(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: Sequen
         occ = None
         if occupancy:
             state_norm = norm[:, owner]
-            beta = _backward(graphs, offsets, final, ends, np.zeros(e.shape), 1.0,
+            beta = _backward(pred, final, ends, np.zeros(e.shape), 1.0,
                              lambda row, t, table: (row * e[t])[table].sum(0) / state_norm[t])
             gamma = alpha[:, :-1] * beta[:, :-1] / fin[owner]      # (T, S) state occupancy
             ok &= np.logical_and.reduceat(np.isfinite(gamma).all(axis=0), starts)
@@ -242,9 +253,10 @@ def log_loss(graph: CtcGraph, logp: np.ndarray,
 
 
 def _trace(graphs: Sequence[CtcGraph], scores: np.ndarray, lengths: np.ndarray, reduce,
-           pick) -> tuple[np.ndarray, np.ndarray]:
+           pick, shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sweep forward with ``reduce`` over the graphs stacked block-diagonally,
-    block b's emissions gathered from ``scores[b]`` ((B, T, C)), then walk
+    block b's emissions gathered from ``scores[b]`` ((B, T, C)), each less
+    ``shift`` ((C,)) at its label when given, then walk
     all B paths back together, each from its own last frame ``lengths[b] -
     1``.  A block's rows after its last frame may hold any finite values or
     -inf: no path through them is walked back.  ``pick`` maps a (k, B) array
@@ -255,6 +267,8 @@ def _trace(graphs: Sequence[CtcGraph], scores: np.ndarray, lengths: np.ndarray, 
     from ``k = lengths[b]`` on), and the block offsets."""
     offsets, owner, labels, first, final, table = _stack(graphs, lengths)
     emit = _emissions(scores, owner, labels)
+    if shift is not None:
+        emit[:, :-1] -= shift[labels]
     score = _sweep(table, first, emit, reduce)
     score += emit
     B, T = len(graphs), scores.shape[1]
@@ -301,18 +315,22 @@ def viterbi_paths(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.ndar
     """Best accepted paths of B utterances under their (B, T, C) ``logp``
     divided by the prior as in :func:`viterbi` (block b's rows from
     ``lengths[b]`` on ignored), from one max sweep and one backtrace: the
-    (T, B) paths and block offsets of :func:`_trace`."""
+    (T, B) paths and block offsets of :func:`_trace`.  The prior's
+    ``prior_scale * log q`` is subtracted from the gathered (T, S) state
+    scores, not from ``logp``, which is left as it is."""
     if not 0.0 <= prior_scale <= 1.0:
         raise ValueError("prior scale must lie in [0, 1]")
+    shift = None
     if prior_scale > 0.0:
         if prior is None:
             raise ValueError("prior_scale > 0 requires a prior")
         prior = np.asarray(prior, dtype=np.float64)
         if prior.shape != logp.shape[2:]:
             raise ValueError("prior shape does not match class count")
-        logp = logp - prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
+        shift = prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
     # ties go to the first row: the smallest state id
-    return _trace(graphs, logp, lengths, lambda x: x.max(axis=0), lambda x: x.argmax(axis=0))
+    return _trace(graphs, logp, lengths, lambda x: x.max(axis=0), lambda x: x.argmax(axis=0),
+                  shift)
 
 
 def batch_viterbi(graphs: Sequence[CtcGraph], posteriors: Sequence[np.ndarray],
@@ -344,20 +362,15 @@ def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
     return batch_viterbi([graph], [logp], prior, prior_scale)[0]
 
 
-def estimate_prior(posteriors: Iterable[np.ndarray], num_classes: int) -> np.ndarray:
-    """Arithmetic mean of the posterior rows over every frame of the stream,
-    renormalized to sum exactly to one."""
-    total = np.zeros(num_classes)
-    frames = 0
-    for logp in posteriors:
-        logp = _check_posteriors(logp)
-        if logp.shape[1] != num_classes:
-            raise ValueError("class count mismatch in posterior stream")
-        total += np.exp(logp).sum(axis=0)
-        frames += logp.shape[0]
+def estimate_prior(sums: np.ndarray, frames: int, num_classes: int) -> np.ndarray:
+    """Arithmetic mean of the posterior rows over ``frames`` frames, from the
+    (N, C) ``sums`` of each utterance's rows of ``exp(logp)``, renormalized
+    to sum exactly to one.  The sums add up in utterance order."""
+    if sums.shape[1:] != (num_classes,):
+        raise ValueError("class count mismatch in posterior stream")
     if frames == 0:
         raise ValueError("empty posterior stream")
-    q = total / frames
+    q = sums.sum(axis=0) / frames
     return q / q.sum()
 
 

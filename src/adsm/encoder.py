@@ -203,7 +203,8 @@ def _forward(x: np.ndarray, lengths: np.ndarray, params: EncoderParams):
     h = x
     for i, (w, b, r) in enumerate(zip(params.weights, params.biases, params.radii)):
         xw = _window(h, r)
-        h = np.tanh(_matmul(xw, w) + b)
+        h = _matmul(xw, w)
+        np.tanh(np.add(h, b, out=h), out=h)
         stages.append(("layer", i, xw, h, lengths))
         for _ in range(params.pool_after.count(i)):
             h = _fill(h, lengths, -np.inf)
@@ -216,8 +217,9 @@ def _forward(x: np.ndarray, lengths: np.ndarray, params: EncoderParams):
             h = np.maximum(pair[:, :, 0], pair[:, :, 1])
             lengths = (lengths + 1) // 2
         h = _fill(h, lengths, 0.0)
-    score = _matmul(h, params.out_w) + params.out_b
-    logp = score - logsumexp(score, axis=2)
+    logp = _matmul(h, params.out_w)
+    logp += params.out_b
+    logp -= logsumexp(logp, axis=2)
     if not np.isfinite(logp).all():
         raise NumericalError("encoder produced non-finite log-posteriors")
     return logp, lengths, (stages, h)
@@ -332,6 +334,9 @@ def train(dataset, params: EncoderParams, config: TrainConfig,
     n_hold = min(int(round(config.holdout_fraction * len(items))), len(items) - 1)
     hold = [items[i] for i in order[:n_hold]]
     trainset = [items[i] for i in order[n_hold:]]
+    # the holdout runs in chunks of similar length, its losses kept in holdout order
+    by_length = sorted(range(n_hold), key=lambda k: len(hold[k][0]))
+    hold_losses = np.empty(n_hold)
 
     arrays = params.arrays()
     lr = config.learning_rate
@@ -363,10 +368,10 @@ def train(dataset, params: EncoderParams, config: TrainConfig,
         monitor = train_loss
         hold_loss = np.nan
         if hold:
-            hold_loss = float(np.mean(np.concatenate(
-                [_batch_step(hold[lo : lo + CHUNK], params, grads=False)[0]
-                 for lo in range(0, len(hold), CHUNK)])))
-            monitor = hold_loss
+            for lo in range(0, n_hold, CHUNK):
+                chunk = by_length[lo : lo + CHUNK]
+                hold_losses[chunk] = _batch_step([hold[k] for k in chunk], params, grads=False)[0]
+            hold_loss = monitor = float(np.mean(hold_losses))
         curve.append((train_loss, hold_loss))
         if monitor < best_loss - 1e-12:
             best_loss = monitor

@@ -5,7 +5,9 @@ A :class:`WordSegDAG` encodes a word's allowed unit sequences as labeled arcs
 between character positions (implicit form) or trie nodes (explicit form).
 Word DAGs concatenate into an :class:`UttLattice`, which expands into a
 :class:`CtcGraph` whose frame paths are exactly the blank-augmented alignments
-of every allowed unit sequence.
+of every allowed unit sequence.  The graph keeps its transitions in one
+table, each state's predecessors; the loss's backward pass derives the
+successors from it.
 """
 
 from __future__ import annotations
@@ -168,7 +170,9 @@ class CtcGraph:
     ``pred[:, s]`` lists the predecessors of state ``s`` (itself included)
     in ascending order, padded at the end with the sentinel ``n_states``, so
     a DP row with one extra -inf slot gathers through the table in one step.
-    ``succ`` is the same table for successors.
+    It is the graph's one transition table: the backward pass of the loss
+    derives the successors from it.  A label state's label is its arc's
+    unit id.
     """
 
     labels: np.ndarray           # per-state emitted class, blank for node states
@@ -176,8 +180,6 @@ class CtcGraph:
     initial: np.ndarray          # state ids
     final: np.ndarray            # state ids
     pred: np.ndarray             # (max in-degree, n_states) padded predecessor table
-    succ: np.ndarray             # (max out-degree, n_states) padded successor table
-    state_arc: np.ndarray        # lattice arc index per state, -1 for blanks
     state_word: np.ndarray       # word index per state, -1 for blanks
     min_frames: int
 
@@ -202,7 +204,7 @@ def expand_lattices(lattices: Sequence[UttLattice], vocab: Vocabulary) -> list[C
     """:func:`ctc_expand` of each lattice, ``EXPAND_STACK`` at a time stacked
     into one block-diagonal lattice: lattice b's states (its nodes, then its
     arcs) take the contiguous range ``off[b]:off[b + 1]``, the edges and
-    neighbour tables are built once over the stack, and each graph is cut
+    predecessor table are built once over the stack, and each graph is cut
     from its range.  Every graph equals that of expanding its lattice alone.
 
     Raises ValueError naming an arc that does not run from a lower to a
@@ -249,8 +251,6 @@ def _expand_stack(lattices: Sequence[UttLattice], vocab: Vocabulary) -> list[Ctc
     to = np.concatenate([states, arc_states, node_dst, arc_states[b]])
     labels = np.full(n_states, vocab.blank_id, dtype=np.intp)
     labels[arc_states] = uid
-    state_arc = np.full(n_states, -1, dtype=np.intp)
-    state_arc[arc_states] = arc
     state_word = np.full(n_states, -1, dtype=np.intp)
     state_word[arc_states] = word
     # Ascending global ids group by lattice, each node state before its arcs.
@@ -264,11 +264,9 @@ def _expand_stack(lattices: Sequence[UttLattice], vocab: Vocabulary) -> list[Ctc
     return [CtcGraph(labels=labels[lo:hi], blank=vocab.blank_id,
                      initial=initial[cut_i[k] : cut_i[k + 1]],
                      final=final[cut_f[k] : cut_f[k + 1]],
-                     pred=pred, succ=succ, state_arc=state_arc[lo:hi],
-                     state_word=state_word[lo:hi], min_frames=m)
-            for k, (lo, hi, pred, succ, m) in enumerate(zip(
-                bounds, bounds[1:], _neighbour_tables(to, frm, off),
-                _neighbour_tables(frm, to, off), min_frames))]
+                     pred=pred, state_word=state_word[lo:hi], min_frames=m)
+            for k, (lo, hi, pred, m) in enumerate(zip(
+                bounds, bounds[1:], _neighbour_tables(to, frm, off), min_frames))]
 
 
 def _min_frames(a, b, src, dst, uid, owner, n_nodes, off) -> list[int]:

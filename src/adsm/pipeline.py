@@ -7,8 +7,10 @@ units so tables survive the vocabulary rebuilds between stages.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -160,10 +162,12 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
     position) and cut into chunks of ``CHUNK``, so each chunk's encoder
     pass, Viterbi sweep and backtrace run only as long as its own longest
     utterance.  The chunks are encoded longest first, while few posteriors
-    are held.  The label prior is estimated from these posteriors in dataset
-    order and flattens the scores as ``logp - prior_scale * log q``; the
-    chunks are aligned shortest first, and each path's states map straight
-    to its words' arcs.  The alignments and the stats keep dataset order.
+    are held, and each chunk's posteriors are exponentiated once for the
+    per-utterance sums the label prior is estimated from, in dataset order.
+    The chunks are aligned shortest first; each path's label states, in
+    word runs, are its words' variants, and each distinct variant is
+    spelled out once.  The alignments keep dataset order, and the stats
+    count each (word, variant) in order of first occurrence.
     Returns (alignments, stats, skipped).
     """
     if params.num_classes != vocab.num_classes:
@@ -175,44 +179,43 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
     order = sorted(range(len(feasible)), key=lambda k: len(feasible[k][1]))
     chunks = [order[lo : lo + CHUNK] for lo in range(0, len(order), CHUNK)]
     encoded = [None] * len(chunks)
-    rows = [None] * len(feasible)
+    sums, frames = np.empty((len(feasible), params.num_classes)), 0
     for c in reversed(range(len(chunks))):
         encoded[c] = logp, lengths = encode_batch([feasible[k][1] for k in chunks[c]], params)
-        for k, row, n in zip(chunks[c], logp, lengths):
-            rows[k] = row[:n]
-    prior = estimate_prior(rows, params.num_classes)
-    del rows    # each chunk's posteriors go once it is aligned
+        probs = np.exp(logp)
+        probs[np.arange(logp.shape[1]) >= lengths[:, None]] = 0.0   # padded rows
+        sums[chunks[c]] = probs.sum(axis=1)
+        frames += int(lengths.sum())
+    prior = estimate_prior(sums, frames, params.num_classes)
 
     word_variants = [None] * len(feasible)
+    spell = functools.cache(lambda ids: tuple(vocab.unit(i) for i in ids))
     for c, chunk in enumerate(chunks):
-        (logp, lengths), encoded[c] = encoded[c], None
+        (logp, lengths), encoded[c] = encoded[c], None   # released once aligned
         chunk_graphs = [feasible[k][2] for k in chunk]
         path, _ = viterbi_paths(chunk_graphs, logp, lengths, prior, prior_scale)
         # every path's states in frame order, path after path; a path never
         # returns to a state it has left, so a new state starts its one visit
         owner = np.repeat(np.arange(len(chunk)), lengths)
         states = path[np.cumsum(lengths)[owner] - 1 - np.arange(len(owner)), owner]
-        arcs = np.concatenate([g.state_arc for g in chunk_graphs])[states]
+        labels = np.concatenate([g.labels for g in chunk_graphs])[states]
         words = np.concatenate([g.state_word for g in chunk_graphs])[states]
-        visit = np.r_[True, states[1:] != states[:-1]] & (arcs >= 0)
-        arcs, words, owner = arcs[visit], words[visit], owner[visit]
-        # every word of an accepted path has an arc, so the runs of equal
-        # (path, word) are the chunk's words in order
+        visit = np.r_[True, states[1:] != states[:-1]] & (labels != vocab.blank_id)
+        labels, words, owner = labels[visit], words[visit], owner[visit]
+        # every word of an accepted path has a label state, so the runs of
+        # equal (path, word) are the chunk's words in order
         cuts = np.flatnonzero((owner[1:] != owner[:-1]) | (words[1:] != words[:-1])) + 1
-        bounds = [0, *cuts.tolist(), len(arcs)]
-        arcs, runs = arcs.tolist(), zip(bounds, bounds[1:])
+        bounds = [0, *cuts.tolist(), len(labels)]
+        labels, runs = labels.tolist(), zip(bounds, bounds[1:])
         for k in chunk:
-            lat = dataset[feasible[k][0]][1]
-            word_variants[k] = tuple(
-                (word, tuple(vocab.unit(lat.arcs[a][2]) for a in arcs[lo:hi]))
-                for word, (lo, hi) in zip(lat.words, runs))
+            word_variants[k] = tuple((word, spell(tuple(labels[lo:hi]))) for word, (lo, hi)
+                                     in zip(dataset[feasible[k][0]][1].words, runs))
 
     stats = VariantStats()
-    aligned = []
-    for (i, _, _), variants in zip(feasible, word_variants):
-        for word, variant in variants:
-            stats.add(word, variant)
-        aligned.append(AlignedUtt(i, getattr(dataset[i][0], "utt_id", str(i)), variants))
+    for (word, variant), count in Counter(pair for vs in word_variants for pair in vs).items():
+        stats.add(word, variant, count)
+    aligned = [AlignedUtt(i, getattr(dataset[i][0], "utt_id", str(i)), variants)
+               for (i, _, _), variants in zip(feasible, word_variants)]
     return aligned, stats, skipped
 
 

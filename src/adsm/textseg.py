@@ -75,16 +75,6 @@ class SubwordNgramLM:
             lp += self.logp(tok, tokens[:i])
         return lp + self.logp(EOS, tokens)
 
-    def perplexity(self, sequences) -> float:
-        lps, n = 0.0, 0
-        for tokens in sequences:
-            tokens = tuple(tokens)
-            lps += self.score(tokens)
-            n += len(tokens) + 1
-        if n == 0:
-            raise ValueError("no events to evaluate")
-        return math.exp(-lps / n)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(LM_HEADER + "\n")

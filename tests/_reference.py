@@ -5,10 +5,12 @@ the blank-interleaved label string, from its textbook description), a
 forward-backward pass over a graph's transition list in extended precision,
 a textbook back-pointer Viterbi, brute-force enumeration of label paths and of
 accepted frame strings, and the plain one-lattice-at-a-time expansion of a
-lattice into its frame-transition graph.  No code is shared with the
+lattice into its frame-transition graph, whose padded successor table is
+also built here from the transition list.  No code is shared with the
 package's graph-based machinery on purpose.  Also the helpers only the tests
-need: a graph's transition list, and an encoder's parameters as one flat
-vector.
+need: a graph's transition list, an encoder's parameters as one flat vector,
+the label prior as the plain mean of a stream of posterior matrices, and a
+language model's perplexity.
 """
 
 import itertools
@@ -46,6 +48,32 @@ def set_flat_params(params, vec: np.ndarray) -> None:
         pos += a.size
     if pos != vec.size:
         raise ValueError("flat vector length mismatch")
+
+
+def prior_mean(posteriors, num_classes: int) -> np.ndarray:
+    """Arithmetic mean of the posterior rows over every frame of a stream of
+    (T, C) log-posterior matrices, each matrix's column sums added to a
+    running total in stream order, renormalized to sum exactly to one."""
+    total = np.zeros(num_classes)
+    frames = 0
+    for logp in posteriors:
+        total += np.exp(logp).sum(axis=0)
+        frames += logp.shape[0]
+    q = total / frames
+    return q / q.sum()
+
+
+def perplexity(lm, sequences) -> float:
+    """exp of minus the mean log-probability per event (each sequence's
+    units and its end event) under the n-gram model ``lm``."""
+    lps, n = 0.0, 0
+    for tokens in sequences:
+        tokens = tuple(tokens)
+        lps += lm.score(tokens)
+        n += len(tokens) + 1
+    if n == 0:
+        raise ValueError("no events to evaluate")
+    return math.exp(-lps / n)
 
 
 def ctc_loss_single(logp: np.ndarray, labels, blank: int) -> float:
@@ -163,7 +191,6 @@ def ctc_expand_reference(lattice: UttLattice, vocab) -> CtcGraph:
     n_states = n_nodes + n_arcs
     states = np.arange(n_states)
     arc_states = states[n_nodes:]
-    no_arc = np.full(n_nodes, -1)
 
     # Label -> label: arc a into node v, then arc b out of v with another label.
     by_src = np.argsort(src, kind="stable")
@@ -195,11 +222,21 @@ def ctc_expand_reference(lattice: UttLattice, vocab) -> CtcGraph:
         initial=initial,
         final=final,
         pred=pred,
-        succ=_neighbour_table(frm, to, n_states),
-        state_arc=np.concatenate([no_arc, np.arange(n_arcs)]),
-        state_word=np.concatenate([no_arc, word]),
+        state_word=np.concatenate([np.full(n_nodes, -1), word]),
         min_frames=min_frames,
     )
+
+
+def successor_table(graphs) -> np.ndarray:
+    """The padded successor table of graphs stacked block-diagonally (each
+    graph's states offset by the state counts before it), built from their
+    transition lists."""
+    edges, off = [], 0
+    for g in graphs:
+        edges += [(p + off, s + off) for p, s in transitions(g)]
+        off += g.n_states
+    frm, to = np.array(edges).T
+    return _neighbour_table(frm, to, off)
 
 
 def _neighbour_table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from adsm import ctc
-from adsm.ctc import (_log_space_loss, batch_log_loss, batch_viterbi, collapse,
-                      estimate_prior, log_loss, logsumexp, sample_path, viterbi)
+from adsm.ctc import (_log_space_loss, _stack, _successors, batch_log_loss, batch_viterbi,
+                      collapse, estimate_prior, log_loss, logsumexp, sample_path, viterbi,
+                      viterbi_paths)
 from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import build_word_dag_explicit, build_word_dag_implicit, \
     concat_utterance, ctc_expand, lattice_from_dag
@@ -14,7 +15,8 @@ from adsm.vocab import Vocabulary
 from conftest import (chars_vocab, flagged, implicit_instance, random_logp,
                       random_oracle_instance)
 from _reference import (ctc_loss_single, enumerate_label_paths, enumerate_oracle,
-                        forward_backward_extended, viterbi_states)
+                        forward_backward_extended, prior_mean, successor_table,
+                        viterbi_states)
 
 
 def test_collapse():
@@ -141,13 +143,22 @@ def test_viterbi_validates_inputs():
 def test_estimate_prior_is_mean_posterior():
     p1 = np.log(np.array([[0.5, 0.5], [0.9, 0.1]]))
     p2 = np.log(np.array([[0.2, 0.8]]))
-    q = estimate_prior([p1, p2], 2)
+    sums = np.stack([np.exp(p).sum(axis=0) for p in (p1, p2)])
+    q = estimate_prior(sums, 3, 2)
     np.testing.assert_allclose(q, [(0.5 + 0.9 + 0.2) / 3, (0.5 + 0.1 + 0.8) / 3])
     assert q.sum() == pytest.approx(1.0)
     with pytest.raises(ValueError, match="mismatch"):
-        estimate_prior([p1], 3)
+        estimate_prior(sums[:1], 2, 3)
     with pytest.raises(ValueError, match="empty"):
-        estimate_prior([], 2)
+        estimate_prior(np.zeros((0, 2)), 0, 2)
+
+
+def test_estimate_prior_equals_the_running_mean_bitwise():
+    rng = np.random.default_rng(43)
+    posteriors = [random_logp(rng, int(rng.integers(1, 300)), 37) for _ in range(60)]
+    sums = np.stack([np.exp(p).sum(axis=0) for p in posteriors])
+    got = estimate_prior(sums, sum(len(p) for p in posteriors), 37)
+    np.testing.assert_array_equal(got, prior_mean(posteriors, 37))
 
 
 def test_sample_path_is_seeded_and_valid():
@@ -470,6 +481,41 @@ def test_batch_viterbi_equals_per_utterance_reference():
                     t += n
                 assert ali.collapsed == tuple(y for y, _ in runs)
                 assert ali.spans == tuple(span for _, span in runs)
+
+
+def test_successor_table_inverts_the_stacked_predecessors():
+    rng = np.random.default_rng(151)
+    graphs = [g for g, _ in _viterbi_pool(rng)]
+    for g in graphs:
+        got, want = _successors(g.pred), successor_table([g])
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        np.testing.assert_array_equal(got, want)
+    for _ in range(200):
+        stack = [graphs[i] for i in rng.integers(0, len(graphs), size=int(rng.integers(1, 17)))]
+        *_, pred = _stack(stack, np.array([g.min_frames for g in stack]))
+        got, want = _successors(pred), successor_table(stack)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_viterbi_paths_subtracts_the_prior_like_the_shifted_posteriors():
+    rng = np.random.default_rng(157)
+    pool = _viterbi_pool(rng)
+    prior = rng.dirichlet(np.ones(5))
+    prior[3] = 1e-13                    # below the floor
+    for lo, hi in ((0, len(pool)), (0, 5), (5, 21), (1, 2)):
+        graphs = [g for g, _ in pool[lo:hi]]
+        lengths = np.array([len(logp) for _, logp in pool[lo:hi]])
+        logp = np.full((len(graphs), lengths.max(), 5), -np.inf)
+        for row, (_, lp) in zip(logp, pool[lo:hi]):
+            row[: len(lp)] = lp
+        for prior_scale in (0.3, 1.0):
+            shifted = logp - prior_scale * np.log(np.maximum(prior, 1e-10))
+            with np.errstate(all="raise"):
+                got = viterbi_paths(graphs, logp, lengths, prior, prior_scale)
+                want = viterbi_paths(graphs, shifted, lengths)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_batch_viterbi_ties_go_to_smallest_state():

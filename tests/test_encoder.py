@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -401,6 +402,38 @@ def test_full_batch_training_spans_several_chunks():
     assert result.curve[0][0] == train_loss
     assert result.curve[0][1] == pytest.approx(hold_loss, rel=1e-12)
     arrays_close(p.arrays(), want.arrays())
+
+
+def test_holdout_is_evaluated_in_length_order(monkeypatch):
+    rng = np.random.default_rng(37)
+    vocab, data = mixed_items(rng, 2 * CHUNK + 30, 2)
+    config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=0, seed=4,
+                         holdout_fraction=0.5)
+    p = init_params(3, (6,), vocab.num_classes, 2, (1,), seed=9)
+    calls = []      # (parameters, utterance lengths) per holdout chunk
+    step = encoder._batch_step
+
+    def recording(items, params, grads=True):
+        if not grads:
+            calls.append((copy.deepcopy(params), [len(x) for x, _ in items]))
+        return step(items, params, grads)
+
+    monkeypatch.setattr(encoder, "_batch_step", recording)
+    result = train(data, p, config)
+    monkeypatch.undo()
+    order = np.random.default_rng(config.seed).permutation(len(data))
+    hold = [data[i] for i in order[:len(data) // 2]]
+    per_epoch = -(-len(hold) // CHUNK)
+    assert per_epoch > 1 and len(calls) == per_epoch * config.epochs
+    for epoch, (_, hold_loss) in enumerate(result.curve):
+        epoch_calls = calls[epoch * per_epoch : (epoch + 1) * per_epoch]
+        lengths = [n for _, chunk in epoch_calls for n in chunk]
+        assert lengths == sorted(len(x) for x, _ in hold) and lengths[0] < lengths[-1]
+        params = epoch_calls[0][0]
+        in_order = np.concatenate([encoder._batch_step(hold[lo : lo + CHUNK], params,
+                                                       grads=False)[0]
+                                   for lo in range(0, len(hold), CHUNK)])
+        assert hold_loss == float(np.mean(in_order))
 
 
 def test_overflowing_checkpoint_fails_at_the_first_batch(monkeypatch):

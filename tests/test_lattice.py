@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adsm import lattice as lattice_mod
+from adsm.ctc import _successors
 from adsm.lattice import (UttLattice, build_word_dag_explicit, build_word_dag_implicit,
                           concat_utterance, ctc_expand, expand_lattices,
                           lattice_from_dag, path_stats, path_length_stats)
@@ -138,16 +139,17 @@ def test_ctc_expand_structure():
         for a, (_, _, uid, w) in enumerate(lat.arcs):
             s = n_nodes + a
             assert g.labels[s] == uid
-            assert g.state_arc[s] == a
             assert g.state_word[s] == w
 
         trans = set(transitions(g))
         for s in range(g.n_states):
             assert (s, s) in trans  # self loops everywhere
-        # cross-check succ/pred symmetry; tables are ascending, sentinel-padded
+        # cross-check the derived successors against the predecessors;
+        # tables are ascending, sentinel-padded
+        succ = _successors(g.pred)
         assert trans == {(s, int(t)) for s in range(g.n_states)
-                         for t in g.succ[:, s] if t < g.n_states}
-        for table in (g.pred, g.succ):
+                         for t in succ[:, s] if t < g.n_states}
+        for table in (g.pred, succ):
             assert np.all((np.diff(table, axis=0) > 0) | (table[1:] == g.n_states))
         for a, (u, v, uid, _) in enumerate(lat.arcs):
             s = n_nodes + a
@@ -195,12 +197,13 @@ def test_path_stats_match_enumeration():
 
 def graph_label_paths(g):
     """Label sequence of every path over label states, walked through the
-    graph's successor table: after a label state the next one follows
-    directly or through one blank state."""
+    successor table derived from its predecessors: after a label state the
+    next one follows directly or through one blank state."""
     n = g.n_states
+    table = _successors(g.pred)
 
     def succ(s):
-        return {int(t) for t in g.succ[:, s] if t < n and t != s}
+        return {int(t) for t in table[:, s] if t < n and t != s}
 
     def next_labels(s):
         return {t for v in succ(s) for t in ({v} if g.labels[v] != g.blank else succ(v))
@@ -222,7 +225,7 @@ def graph_label_paths(g):
     return out
 
 
-GRAPH_FIELDS = ("labels", "initial", "final", "pred", "succ", "state_arc", "state_word")
+GRAPH_FIELDS = ("labels", "initial", "final", "pred", "state_word")
 
 
 def assert_same_graph(got, want):

@@ -14,7 +14,7 @@ from adsm.pipeline import (AlignedUtt, PipelineConfig, VariantStats,
                            utterance_lattice)
 from adsm.lattice import ctc_expand
 from adsm.vocab import SegTable, Vocabulary, marked
-from _reference import ctc_expand_reference, enumerate_label_paths, viterbi_states
+from _reference import ctc_expand_reference, enumerate_label_paths, prior_mean, viterbi_states
 
 
 def test_pipeline_config_validation():
@@ -151,14 +151,15 @@ def _align_one_by_one(params, dataset, prior_scale, vocab):
             skipped += 1
         else:
             feasible.append((i, feats, lat, graph, encode(feats.values, params)))
-    prior = estimate_prior([logp for *_, logp in feasible], params.num_classes)
+    prior = prior_mean([logp for *_, logp in feasible], params.num_classes)
     stats, aligned = VariantStats(), []
     for i, feats, lat, graph, logp in feasible:
         states = viterbi_states(graph, logp - prior_scale * np.log(np.maximum(prior, 1e-10)))
         arcs = [[] for _ in lat.words]
         for state in dict.fromkeys(states):
-            if graph.state_arc[state] >= 0:
-                arcs[graph.state_word[state]].append(graph.state_arc[state])
+            if state >= lat.n_nodes:    # the label states follow the node states, arc by arc
+                a = state - lat.n_nodes
+                arcs[lat.arcs[a][3]].append(a)
         variants = []
         for word, word_arcs in zip(lat.words, arcs):
             variant = tuple(vocab.unit(lat.arcs[a][2]) for a in word_arcs)
@@ -190,6 +191,30 @@ def test_align_corpus_in_chunks_equals_one_by_one():
             assert aligned == want_aligned
             assert stats.counts == want_stats.counts
             assert skipped == want_skipped
+
+
+def test_align_corpus_prior_equals_the_per_utterance_mean(monkeypatch):
+    (corp, _), entries = mini_corpus(n=45, seed=9)
+    vocab = build_initial_vocab(entries, corp.words())
+    table = make_initial_segtable(corp.words(), vocab)
+    params = init_params(6, (16,), vocab.num_classes, 2, (1,), 8)
+    dataset = []
+    for i, (feats, lat) in enumerate(build_dataset(corp, vocab, table)):
+        keep = len(feats.values) // 2 - 2 if i % 7 == 3 else None
+        dataset.append((FeatureMatrix(feats.utt_id, feats.values[:keep]), lat))
+    priors = []
+
+    def recording(*args):
+        priors.append(estimate_prior(*args))
+        return priors[-1]
+
+    monkeypatch.setattr(pipeline, "estimate_prior", recording)
+    _, _, skipped = align_corpus(params, dataset, 0.3, vocab)
+    feasible = [encode(feats.values, params) for feats, lat in dataset
+                if subsampled_length(len(feats.values), 2) >= ctc_expand(lat, vocab).min_frames]
+    assert skipped == 6 and len(feasible) > 2 * CHUNK
+    assert len(priors) == 1
+    np.testing.assert_array_equal(priors[0], prior_mean(feasible, params.num_classes))
 
 
 def test_align_corpus_chunks_by_length_and_returns_dataset_order(monkeypatch):
