@@ -370,6 +370,8 @@ def estimate_prior(sums: np.ndarray, frames: int, num_classes: int) -> np.ndarra
         raise ValueError("class count mismatch in posterior stream")
     if frames == 0:
         raise ValueError("empty posterior stream")
+    if not np.isfinite(sums).all():
+        raise NumericalError("posterior sums contain non-finite values")
     q = sums.sum(axis=0) / frames
     return q / q.sum()
 

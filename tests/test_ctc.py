@@ -151,6 +151,8 @@ def test_estimate_prior_is_mean_posterior():
         estimate_prior(sums[:1], 2, 3)
     with pytest.raises(ValueError, match="empty"):
         estimate_prior(np.zeros((0, 2)), 0, 2)
+    with pytest.raises(NumericalError, match="non-finite"):
+        estimate_prior(np.where(sums > 1.0, np.nan, sums), 3, 2)
 
 
 def test_estimate_prior_equals_the_running_mean_bitwise():

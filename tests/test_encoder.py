@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -410,30 +409,29 @@ def test_holdout_is_evaluated_in_length_order(monkeypatch):
     config = TrainConfig(learning_rate=0.5, epochs=3, batch_size=0, seed=4,
                          holdout_fraction=0.5)
     p = init_params(3, (6,), vocab.num_classes, 2, (1,), seed=9)
-    calls = []      # (parameters, utterance lengths) per holdout chunk
+    order = np.random.default_rng(config.seed).permutation(len(data))
+    hold = [data[i] for i in order[:len(data) // 2]]
+    per_epoch = -(-len(hold) // CHUNK)
+    chunks, in_order = [], []   # holdout chunk lengths; each epoch's in-order loss
     step = encoder._batch_step
 
     def recording(items, params, grads=True):
         if not grads:
-            calls.append((copy.deepcopy(params), [len(x) for x, _ in items]))
+            if len(chunks) % per_epoch == 0:    # an epoch's first holdout chunk
+                in_order.append(float(np.mean(np.concatenate(
+                    [step(hold[lo : lo + CHUNK], params, grads=False)[0]
+                     for lo in range(0, len(hold), CHUNK)]))))
+            chunks.append([len(x) for x, _ in items])
         return step(items, params, grads)
 
     monkeypatch.setattr(encoder, "_batch_step", recording)
     result = train(data, p, config)
-    monkeypatch.undo()
-    order = np.random.default_rng(config.seed).permutation(len(data))
-    hold = [data[i] for i in order[:len(data) // 2]]
-    per_epoch = -(-len(hold) // CHUNK)
-    assert per_epoch > 1 and len(calls) == per_epoch * config.epochs
+    assert per_epoch > 1 and len(chunks) == per_epoch * config.epochs
     for epoch, (_, hold_loss) in enumerate(result.curve):
-        epoch_calls = calls[epoch * per_epoch : (epoch + 1) * per_epoch]
-        lengths = [n for _, chunk in epoch_calls for n in chunk]
+        lengths = [n for chunk in chunks[epoch * per_epoch : (epoch + 1) * per_epoch]
+                   for n in chunk]
         assert lengths == sorted(len(x) for x, _ in hold) and lengths[0] < lengths[-1]
-        params = epoch_calls[0][0]
-        in_order = np.concatenate([encoder._batch_step(hold[lo : lo + CHUNK], params,
-                                                       grads=False)[0]
-                                   for lo in range(0, len(hold), CHUNK)])
-        assert hold_loss == float(np.mean(in_order))
+        assert hold_loss == in_order[epoch]
 
 
 def test_overflowing_checkpoint_fails_at_the_first_batch(monkeypatch):
