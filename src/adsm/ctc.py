@@ -362,12 +362,10 @@ def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
     return batch_viterbi([graph], [logp], prior, prior_scale)[0]
 
 
-def estimate_prior(sums: np.ndarray, frames: int, num_classes: int) -> np.ndarray:
+def estimate_prior(sums: np.ndarray, frames: int) -> np.ndarray:
     """Arithmetic mean of the posterior rows over ``frames`` frames, from the
     (N, C) ``sums`` of each utterance's rows of ``exp(logp)``, renormalized
     to sum exactly to one.  The sums add up in utterance order."""
-    if sums.shape[1:] != (num_classes,):
-        raise ValueError("class count mismatch in posterior stream")
     if frames == 0:
         raise ValueError("empty posterior stream")
     if not np.isfinite(sums).all():

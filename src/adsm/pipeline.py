@@ -186,7 +186,7 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
         probs[np.arange(logp.shape[1]) >= lengths[:, None]] = 0.0   # padded rows
         sums[chunks[c]] = probs.sum(axis=1)
         frames += int(lengths.sum())
-    prior = estimate_prior(sums, frames, params.num_classes)
+    prior = estimate_prior(sums, frames)
 
     word_variants = [None] * len(feasible)
     spell = functools.cache(lambda ids: tuple(vocab.unit(i) for i in ids))

@@ -10,6 +10,7 @@ word over the training alphabet gets some segmentation.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,7 @@ class SubwordNgramLM:
         if len(set(self.events)) != len(self.events):
             raise ValueError("event inventory repeats an event")
         self._event_set = set(self.events)
+        self._memo: dict[tuple[str, tuple[str, ...]], float] = {}
 
     def _history(self, tokens: tuple[str, ...]) -> tuple[str, ...]:
         ctx = (BOS,) * (self.order - 1) + tokens
@@ -57,15 +59,24 @@ class SubwordNgramLM:
         per = self.counts.setdefault(history, {})
         per[event] = per.get(event, 0.0) + weight
         self.totals[history] = self.totals.get(history, 0.0) + weight
+        self._memo.clear()
 
     def logp(self, event: str, history: tuple[str, ...]) -> float:
-        """log P(event | last order-1 tokens), smoothed."""
-        if event not in self._event_set:
-            raise KeyError(f"unknown event {event!r}")
-        h = self._history(history)
-        c = self.counts.get(h, {}).get(event, 0.0)
-        tot = self.totals.get(h, 0.0)
-        return math.log((c + self.add_k) / (tot + self.add_k * len(self.events)))
+        """log P(event | last order-1 tokens), smoothed; memoized on (event,
+        fixed-length history), at most events x distinct histories entries,
+        and :meth:`add` clears the memo."""
+        return self._logp(event, self._history(history))
+
+    def _logp(self, event: str, h: tuple[str, ...]) -> float:
+        """:meth:`logp` for a history already cut to ``order - 1`` tokens."""
+        lp = self._memo.get((event, h))
+        if lp is None:
+            if event not in self._event_set:
+                raise KeyError(f"unknown event {event!r}")
+            c = self.counts.get(h, {}).get(event, 0.0)
+            tot = self.totals.get(h, 0.0)
+            lp = self._memo[event, h] = math.log((c + self.add_k) / (tot + self.add_k * len(self.events)))
+        return lp
 
     def score(self, tokens) -> float:
         """Total log-probability of a unit sequence including its end event."""
@@ -146,40 +157,37 @@ def train_lm(table: SegTable, order: int = 2, add_k: float = 0.1) -> SubwordNgra
 def _segment_dp(word: str, vocab: Vocabulary, lm: SubwordNgramLM):
     """Highest-scoring unit sequence spelling the word.
 
-    States are (character position, LM history); ties fall to fewer units,
-    then to the lexicographically smallest token sequence.
+    States are (character position, LM history), one dict of LM histories
+    per position, filled in position order; ties fall to fewer units, then
+    to the lexicographically smallest token sequence.
     """
     L = len(word)
     # spans[i]: units starting at i as (end position, unit, token)
     spans: list[list[tuple[int, Unit, str]]] = [[] for _ in range(L)]
     for i in range(L):
         for j in range(i + 1, L + 1):
-            piece = word[i:j]
-            unit = (piece, j == L)
-            if unit in vocab:
+            unit = (word[i:j], j == L)
+            if unit in vocab.id_of:
                 tok = marked(unit)
                 if tok not in lm._event_set:
                     raise ValueError(f"unit {tok!r} of the vocabulary is not an event of the LM")
                 spans[i].append((j, unit, tok))
-    best: dict[tuple[int, tuple[str, ...]], tuple[float, int, tuple[str, ...], tuple[Unit, ...]]] = {}
-    best[(0, lm._history(()))] = (0.0, 0, (), ())
-    done = None
-    for pos in range(L + 1):
-        states = [s for s in best if s[0] == pos]
-        for state in states:
-            score, n, toks, units = best[state]
-            _, hist = state
-            if pos == L:
-                cand = (score + lm.logp(EOS, hist), n, toks, units)
-                if done is None or _better(cand, done):
-                    done = cand
-                continue
+    # layers[pos]: LM history -> best (score, units used, tokens, units) at pos
+    layers: list[dict] = [{} for _ in range(L + 1)]
+    layers[0][lm._history(())] = (0.0, 0, (), ())
+    for pos in range(L):
+        for hist, (score, n, toks, units) in layers[pos].items():
             for j, unit, tok in spans[pos]:
-                cand = (score + lm.logp(tok, hist), n + 1, toks + (tok,), units + (unit,))
-                nxt = (j, lm._history(hist + (tok,)))
-                cur = best.get(nxt)
+                cand = (score + lm._logp(tok, hist), n + 1, toks + (tok,), units + (unit,))
+                nxt = (hist + (tok,))[1:]               # the fixed-length history after tok
+                cur = layers[j].get(nxt)
                 if cur is None or _better(cand, cur):
-                    best[nxt] = cand
+                    layers[j][nxt] = cand
+    done = None
+    for hist, (score, n, toks, units) in layers[L].items():
+        cand = (score + lm._logp(EOS, hist), n, toks, units)
+        if done is None or _better(cand, done):
+            done = cand
     return done
 
 
@@ -194,19 +202,15 @@ def _better(a, b) -> bool:
 
 def _variant_cdf(table: SegTable, word: str):
     """A seen word's variants as unit tuples, and the cumulative distribution
-    of their weights."""
+    of their weights.  ``cdf.searchsorted(u, side="right")`` of a uniform u
+    is the pick Generator.choice(len(variants), p=p) makes from the same
+    draw, without its per-call checks of p (the SegTable constructor
+    enforces weights in (0, 1] summing to 1)."""
     variants = table.unit_variants(word)
     weights = np.array([w for _, w in variants])
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     return [units for units, _ in variants], cdf
-
-
-def _draw_variant(variants: list, cdf: np.ndarray, rng: np.random.Generator):
-    """The draw Generator.choice(len(variants), p=p) makes, without its
-    per-call checks of p (the SegTable constructor enforces weights in (0, 1]
-    summing to 1): same pick, same generator state afterwards."""
-    return variants[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 def segment_word(word: str, table: SegTable, lm: SubwordNgramLM,
@@ -223,7 +227,8 @@ def segment_word(word: str, table: SegTable, lm: SubwordNgramLM,
     if word in table:
         if mode == "best":
             return tuple(table.vocab.unit(i) for i in table.best_variant(word))
-        return _draw_variant(*_variant_cdf(table, word), np.random.default_rng(rng))
+        variants, cdf = _variant_cdf(table, word)
+        return variants[int(cdf.searchsorted(np.random.default_rng(rng).random(), side="right"))]
     result = _segment_dp(word, table.vocab, lm)
     if result is None:
         missing = sorted({ch for ch in word if (ch, True) not in table.vocab
@@ -239,32 +244,46 @@ def segment_corpus(lines, table: SegTable, lm: SubwordNgramLM,
     """Space-joined marked tokens per line; word-end markers make the
     mapping invertible.
 
-    A segmentation that draws nothing (every word in ``best`` mode, unseen
-    words in ``sample`` mode) is computed once per distinct word, and so are
-    the variants and weight distribution a seen word is drawn from in
-    ``sample`` mode.  Each occurrence of a seen word takes one draw and unseen
-    words none, so the sampled lines are the same as segmenting every
-    occurrence with :func:`segment_word`.
+    A first pass gives each word that draws nothing (every word in ``best``
+    mode, unseen words in ``sample`` mode) its token string once, through
+    :func:`segment_word`, and numbers the draws of ``sample`` mode, one per
+    seen-word occurrence in corpus order, collecting each word's numbers.
+    The draws take one uniform array, the stream of one draw each.  A second
+    pass joins each line from per-word strings, so the lines equal
+    segmenting every occurrence with :func:`segment_word` and one generator.
     """
+    if mode not in ("best", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    lines = list(lines)
     rng = np.random.default_rng(seed)
-    fixed: dict[str, list[str]] = {}
-    drawn: dict[str, tuple[list[list[str]], np.ndarray]] = {}
-    out = []
+    strings: dict[str, str] = {}           # word -> its tokens; "" if it draws
+    draws: dict[str, array] = {}           # word that draws -> its draw numbers
+    n = 0
     for line in lines:
-        tokens: list[str] = []
         for word in line.split():
-            toks = fixed.get(word)
-            if toks is None and mode == "sample" and word in table:
-                if word not in drawn:
-                    variants, cdf = _variant_cdf(table, word)
-                    drawn[word] = [[marked(u) for u in units] for units in variants], cdf
-                toks = _draw_variant(*drawn[word], rng)
-            elif toks is None:
-                toks = [marked(u) for u in segment_word(word, table, lm, mode, rng)]
-                fixed[word] = toks
-            tokens.extend(toks)
-        out.append(" ".join(tokens))
-    return out
+            if word not in strings:
+                if mode == "sample" and word in table:
+                    strings[word], draws[word] = "", array("i")
+                else:
+                    strings[word] = " ".join(map(marked, segment_word(word, table, lm, mode, rng)))
+            if word in draws:
+                draws[word].append(n)
+                n += 1
+    take = _draw_variants(table, draws, rng.random(n))
+    return [" ".join([strings[w] or take[w]() for w in line.split()]) for line in lines]
+
+
+def _draw_variants(table: SegTable, draws: dict[str, array], u: np.ndarray) -> dict:
+    """Per word, a callable returning its drawn token strings in corpus
+    order: its uniforms ``u[draws[word]]`` map to variants by one search of
+    its cdf.  A function of its own, so ``u`` is freed before lines are built."""
+    take = {}
+    for word, at in draws.items():
+        variants, cdf = _variant_cdf(table, word)
+        choices = [" ".join(map(marked, units)) for units in variants]
+        picks = cdf.searchsorted(u[np.frombuffer(at, dtype=np.intc)], side="right")
+        take[word] = iter([choices[k] for k in picks.tolist()]).__next__
+    return take
 
 
 def detokenize(line: str) -> str:

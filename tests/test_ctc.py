@@ -144,22 +144,20 @@ def test_estimate_prior_is_mean_posterior():
     p1 = np.log(np.array([[0.5, 0.5], [0.9, 0.1]]))
     p2 = np.log(np.array([[0.2, 0.8]]))
     sums = np.stack([np.exp(p).sum(axis=0) for p in (p1, p2)])
-    q = estimate_prior(sums, 3, 2)
+    q = estimate_prior(sums, 3)
     np.testing.assert_allclose(q, [(0.5 + 0.9 + 0.2) / 3, (0.5 + 0.1 + 0.8) / 3])
     assert q.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="mismatch"):
-        estimate_prior(sums[:1], 2, 3)
     with pytest.raises(ValueError, match="empty"):
-        estimate_prior(np.zeros((0, 2)), 0, 2)
+        estimate_prior(np.zeros((0, 2)), 0)
     with pytest.raises(NumericalError, match="non-finite"):
-        estimate_prior(np.where(sums > 1.0, np.nan, sums), 3, 2)
+        estimate_prior(np.where(sums > 1.0, np.nan, sums), 3)
 
 
 def test_estimate_prior_equals_the_running_mean_bitwise():
     rng = np.random.default_rng(43)
     posteriors = [random_logp(rng, int(rng.integers(1, 300)), 37) for _ in range(60)]
     sums = np.stack([np.exp(p).sum(axis=0) for p in posteriors])
-    got = estimate_prior(sums, sum(len(p) for p in posteriors), 37)
+    got = estimate_prior(sums, sum(len(p) for p in posteriors))
     np.testing.assert_array_equal(got, prior_mean(posteriors, 37))
 
 

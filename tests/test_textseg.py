@@ -83,6 +83,29 @@ def test_score_and_perplexity():
         perplexity(lm, [])
 
 
+def test_logp_memo_follows_add():
+    lm = counted_lm()
+    assert lm.logp("a", ()) == pytest.approx(math.log(2.5 / 3.5), rel=1e-12)
+    assert lm.logp("b_", ()) == pytest.approx(math.log(0.5 / 3.5), rel=1e-12)
+    lm.add((BOS,), "b_", 3.0)       # history (<s>,) now counts a: 2, b_: 3
+    assert lm.logp("a", ()) == pytest.approx(math.log(2.5 / 6.5), rel=1e-12)
+    assert lm.logp("b_", ()) == pytest.approx(math.log(3.5 / 6.5), rel=1e-12)
+    assert lm.score(("b_",)) == pytest.approx(math.log(3.5 / 6.5) + math.log(2.5 / 3.5),
+                                              rel=1e-12)
+
+
+def test_logp_memo_is_bounded_by_events_times_histories():
+    lm = SubwordNgramLM(order=3, add_k=0.1, events=("a", "b_", EOS))
+    lm.add((BOS, BOS), "a", 1.0)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        lm.score(tuple(rng.choice(["a", "b_"], size=500)))
+    # fixed-length histories: (<s>, <s>), (<s>, x) and (x, y) over 2 units
+    histories = 1 + 2 + 2 * 2
+    assert all(len(h) == 2 for _, h in lm._memo)
+    assert len(lm._memo) <= len(lm.events) * histories
+
+
 def test_lm_save_load_round_trip(tmp_path):
     unigram = SubwordNgramLM(order=1, add_k=0.25, events=("a", "b_", EOS))
     unigram.add((), "a", 0.25)  # order 1: the empty history takes the "-" form
@@ -213,8 +236,8 @@ def test_known_word_sampling_follows_weights():
     assert len(set(draws)) == 1
 
 
-def test_unknown_word_matches_exhaustive_argmax():
-    rng = np.random.default_rng(23)
+def _dp_matches_exhaustive_argmax(order, seed):
+    rng = np.random.default_rng(seed)
     alphabet = "ab"
     for _ in range(60):
         units = {(ch, e) for ch in alphabet for e in (False, True)}
@@ -224,7 +247,7 @@ def test_unknown_word_matches_exhaustive_argmax():
             units.add((piece, bool(rng.integers(2))))
         vocab = Vocabulary.from_units(units)
         tokens = tuple(sorted(marked(u) for u in vocab))
-        lm = SubwordNgramLM(order=2, add_k=0.2, events=tokens + (EOS,))
+        lm = SubwordNgramLM(order=order, add_k=0.2, events=tokens + (EOS,))
         for _ in range(12):  # pseudo-training on random token strings
             sent = [tokens[int(rng.integers(len(tokens)))]
                     for _ in range(int(rng.integers(1, 5)))]
@@ -245,6 +268,15 @@ def test_unknown_word_matches_exhaustive_argmax():
             if (c[0], ) > (want[0], ) or (c[0] == want[0] and (c[1], c[2]) < (want[1], want[2])):
                 want = c
         assert segment_word(word, table, lm) == want[3]
+
+
+def test_unknown_word_matches_exhaustive_argmax():
+    _dp_matches_exhaustive_argmax(order=2, seed=23)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_unknown_word_matches_exhaustive_argmax_at_other_orders(order):
+    _dp_matches_exhaustive_argmax(order, seed=29 + order)
 
 
 def test_dp_prefers_fewer_then_lexicographic():
@@ -392,6 +424,91 @@ def test_segment_corpus_unknown_character_raises_at_first_occurrence():
     for mode in ("best", "sample"):
         with pytest.raises(ValueError, match="outside the alphabet"):
             segment_corpus(["ab aab b", "aab axb ab"], table, lm, mode=mode)
+
+
+def _count_segment_word(monkeypatch):
+    calls = []
+    seg = textseg.segment_word
+
+    def counting(word, *args):
+        calls.append(word)
+        return seg(word, *args)
+
+    monkeypatch.setattr(textseg, "segment_word", counting)
+    return calls
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["ab b", "aab"]])
+def test_segment_corpus_refuses_an_unknown_mode_up_front(monkeypatch, lines):
+    table = small_table()
+    lm = train_lm(table)
+    calls = _count_segment_word(monkeypatch)
+    with pytest.raises(ValueError, match="unknown mode"):
+        segment_corpus(lines, table, lm, mode="bogus")
+    assert calls == []
+
+
+def test_segment_corpus_empty_input_and_blank_lines():
+    table = small_table()
+    lm = train_lm(table)
+    lines = ["", "ab b", "   ", "aab ab", ""]
+    for mode in ("best", "sample"):
+        assert segment_corpus([], table, lm, mode=mode) == []
+        assert segment_corpus([""], table, lm, mode=mode) == [""]
+        got = segment_corpus(lines, table, lm, mode=mode, seed=4)
+        assert got == _per_word(lines, table, lm, mode, 4)
+        assert [got[0], got[2], got[4]] == ["", "", ""]
+        assert segment_corpus(iter(lines), table, lm, mode=mode, seed=4) == got
+
+
+def three_variant_table():
+    """small_table plus "aab", stored with three variants."""
+    vocab = small_table().vocab
+    a, aa, b_, ab_ = (vocab.id(*u) for u in [("a", False), ("aa", False),
+                                            ("b", True), ("ab", True)])
+    entries = {"ab": [((a, b_), 0.75), ((ab_,), 0.25)], "b": [((b_,), 1.0)],
+               "aab": [((a, a, b_), 0.2), ((aa, b_), 0.3), ((a, ab_), 0.5)]}
+    return SegTable.explicit(entries, vocab)
+
+
+def random_corpus(rng, pool):
+    """Up to 6 lines of up to 7 words drawn from ``pool`` (so words repeat);
+    lines may be blank."""
+    return [" ".join(pool[int(i)] for i in rng.integers(len(pool), size=int(rng.integers(8))))
+            for _ in range(int(rng.integers(7)))]
+
+
+def test_segment_corpus_equals_per_word_on_random_corpora():
+    table = three_variant_table()
+    lm = train_lm(table)
+    seen = table.words()
+    kinds = {"mixed": 0, "unseen only": 0, "seen only": 0}
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        unseen = sorted({"".join(rng.choice(["a", "b"], size=int(rng.integers(1, 6))))
+                         for _ in range(4)} - set(seen))
+        kind = list(kinds)[seed % 3]
+        pool = {"mixed": seen + unseen, "unseen only": unseen, "seen only": seen}[kind]
+        lines = random_corpus(rng, pool)
+        kinds[kind] += sum(len(line.split()) for line in lines) > 0
+        for mode in ("best", "sample"):
+            assert (segment_corpus(lines, table, lm, mode=mode, seed=seed)
+                    == _per_word(lines, table, lm, mode, seed))
+    assert min(kinds.values()) >= 5
+
+
+def test_segment_corpus_segments_each_draw_free_word_once(monkeypatch):
+    table = three_variant_table()
+    lm = train_lm(table)
+    calls = _count_segment_word(monkeypatch)
+    words = [w for line in REPEATS for w in line.split()]
+    unseen = {w for w in words if w not in table}
+    assert len(words) > len(set(words)) and 0 < len(unseen) < len(set(words))
+    for mode, draw_free in (("best", set(words)), ("sample", unseen)):
+        for seed in (1, 2):                       # each call starts afresh
+            calls.clear()
+            segment_corpus(REPEATS, table, lm, mode=mode, seed=seed)
+            assert sorted(calls) == sorted(draw_free)
 
 
 def test_detokenize():
