@@ -233,6 +233,8 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, tuple[Unit, ..
     alignment ever needs a separating blank.
     """
     protos = make_prototypes(spec)
+    row = {c: r for r, c in enumerate(protos)}
+    table = np.stack(list(protos.values()))
     rng = np.random.default_rng(spec.seed + 1)
     words = sorted(spec.word_segs)
 
@@ -260,16 +262,14 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Corpus, dict[str, tuple[Unit, ..
                 continue
             pool = clear[picked[-1]] if picked else words
             picked.append(pool[int(rng.integers(len(pool)))])
-        blocks = []
-        units: list[Unit] = []
-        for w in picked:
-            chunks = spec.word_segs[w]
-            for j, c in enumerate(chunks):
-                base = np.tile(protos[c], (spec.frames_per_unit, 1))
-                blocks.append(base + rng.normal(0.0, spec.noise, base.shape))
-                units.append((c, j == len(chunks) - 1))
+        units = [(c, j == len(spec.word_segs[w]) - 1)
+                 for w in picked for j, c in enumerate(spec.word_segs[w])]
+        # one draw per utterance gives the stream of one draw per chunk
+        values = rng.normal(0.0, spec.noise, (len(units) * spec.frames_per_unit, table.shape[1]))
+        blocks = values.reshape(len(units), spec.frames_per_unit, -1)   # a view, one block per chunk
+        blocks += table[[row[c] for c, _ in units]][:, None, :]
         utt_id = f"utt{i:04d}"
-        feats = FeatureMatrix(utt_id, np.concatenate(blocks, axis=0))
+        feats = FeatureMatrix(utt_id, values)
         utts.append(Utterance(utt_id, feats, tuple(picked)))
         truth[utt_id] = tuple(units)
     return Corpus(utts), truth

@@ -395,8 +395,8 @@ def save_params(params: EncoderParams, path) -> None:
         for name, arr in _named_arrays(params):
             shape = " ".join(map(str, arr.shape))
             fh.write(f"array\t{name}\t{shape}\n")
-            for v in arr.ravel():
-                fh.write(repr(float(v)) + "\n")
+            # the empty last item ends the last line, and writes nothing for an empty array
+            fh.write("\n".join([*map(repr, arr.ravel().tolist()), ""]))
 
 
 # A checkpoint's metadata keys: three integers, then one integer per hidden layer.

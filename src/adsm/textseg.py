@@ -10,8 +10,9 @@ word over the training alphabet gets some segmentation.
 from __future__ import annotations
 
 import math
-from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, islice
 
 import numpy as np
 
@@ -30,7 +31,10 @@ class SubwordNgramLM:
 
     Histories are fixed-length ``order - 1`` tuples (front-padded with the
     start symbol); predicted events are every unit of the vocabulary plus the
-    end symbol, so conditionals sum to one for any history.
+    end symbol, so conditionals sum to one for any history.  It keeps two
+    memos, which :meth:`add`, the only mutator, clears: the :meth:`logp`
+    values, and :func:`_segment_dp`'s result per word for one vocabulary
+    object, keyed by its identity.
     """
 
     order: int
@@ -50,6 +54,7 @@ class SubwordNgramLM:
             raise ValueError("event inventory repeats an event")
         self._event_set = set(self.events)
         self._memo: dict[tuple[str, tuple[str, ...]], float] = {}
+        self._segs: tuple[Vocabulary | None, dict] = (None, {})   # (vocab, word -> DP result)
 
     def _history(self, tokens: tuple[str, ...]) -> tuple[str, ...]:
         ctx = (BOS,) * (self.order - 1) + tokens
@@ -60,6 +65,7 @@ class SubwordNgramLM:
         per[event] = per.get(event, 0.0) + weight
         self.totals[history] = self.totals.get(history, 0.0) + weight
         self._memo.clear()
+        self._segs = (None, {})
 
     def logp(self, event: str, history: tuple[str, ...]) -> float:
         """log P(event | last order-1 tokens), smoothed; memoized on (event,
@@ -155,17 +161,34 @@ def train_lm(table: SegTable, order: int = 2, add_k: float = 0.1) -> SubwordNgra
 
 
 def _segment_dp(word: str, vocab: Vocabulary, lm: SubwordNgramLM):
-    """Highest-scoring unit sequence spelling the word.
+    """Highest-scoring unit sequence spelling the word, as (score, unit
+    count, tokens, units), or None when no sequence spells it.
 
-    States are (character position, LM history), one dict of LM histories
-    per position, filled in position order; ties fall to fewer units, then
-    to the lexicographically smallest token sequence.
+    Memoized on ``lm`` for one vocabulary object at a time: the key is the
+    object's identity, so another vocabulary, even an equal one, starts a
+    fresh memo, and :meth:`SubwordNgramLM.add` clears it.  The memo holds at
+    most one entry per distinct word segmented against that vocabulary; a
+    None result is kept, a raised error is not.
+    """
+    if lm._segs[0] is not vocab:
+        lm._segs = (vocab, {})
+    memo = lm._segs[1]
+    if word not in memo:
+        memo[word] = _search(word, vocab, lm)
+    return memo[word]
+
+
+def _search(word: str, vocab: Vocabulary, lm: SubwordNgramLM):
+    """The DP behind :func:`_segment_dp`.  States are (character position,
+    LM history), one dict of LM histories per position, filled in position
+    order; a unit spans at most ``vocab.max_len`` characters.  Ties fall to
+    fewer units, then to the lexicographically smallest token sequence.
     """
     L = len(word)
     # spans[i]: units starting at i as (end position, unit, token)
     spans: list[list[tuple[int, Unit, str]]] = [[] for _ in range(L)]
     for i in range(L):
-        for j in range(i + 1, L + 1):
+        for j in range(i + 1, min(i + vocab.max_len, L) + 1):
             unit = (word[i:j], j == L)
             if unit in vocab.id_of:
                 tok = marked(unit)
@@ -244,46 +267,44 @@ def segment_corpus(lines, table: SegTable, lm: SubwordNgramLM,
     """Space-joined marked tokens per line; word-end markers make the
     mapping invertible.
 
-    A first pass gives each word that draws nothing (every word in ``best``
-    mode, unseen words in ``sample`` mode) its token string once, through
-    :func:`segment_word`, and numbers the draws of ``sample`` mode, one per
-    seen-word occurrence in corpus order, collecting each word's numbers.
-    The draws take one uniform array, the stream of one draw each.  A second
-    pass joins each line from per-word strings, so the lines equal
+    One pass numbers the distinct words in order of first occurrence and
+    maps every token to its word's number.  Each word that draws nothing
+    (every word in ``best`` mode, unseen words in ``sample`` mode) gets its
+    token string once, through :func:`segment_word`.  ``lm`` memoizes each
+    unseen word's DP result, one entry per word, for the table's vocabulary
+    object until :meth:`SubwordNgramLM.add`, so later calls skip the DP.
+    ``sample`` mode takes one uniform per seen-word occurrence, in corpus
+    order, from one ``rng.random(n)`` call; a pick is the count of cdf
+    entries <= u in one (seen words x variants) grid padded with +inf,
+    which is ``cdf.searchsorted(u, side="right")``.  So the lines equal
     segmenting every occurrence with :func:`segment_word` and one generator.
     """
     if mode not in ("best", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     lines = list(lines)
-    rng = np.random.default_rng(seed)
-    strings: dict[str, str] = {}           # word -> its tokens; "" if it draws
-    draws: dict[str, array] = {}           # word that draws -> its draw numbers
-    n = 0
-    for line in lines:
-        for word in line.split():
-            if word not in strings:
-                if mode == "sample" and word in table:
-                    strings[word], draws[word] = "", array("i")
-                else:
-                    strings[word] = " ".join(map(marked, segment_word(word, table, lm, mode, rng)))
-            if word in draws:
-                draws[word].append(n)
-                n += 1
-    take = _draw_variants(table, draws, rng.random(n))
-    return [" ".join([strings[w] or take[w]() for w in line.split()]) for line in lines]
+    strings = iter(_token_strings(lines, table, lm, mode, np.random.default_rng(seed)))
+    return [" ".join(islice(strings, len(line.split()))) for line in lines]
 
 
-def _draw_variants(table: SegTable, draws: dict[str, array], u: np.ndarray) -> dict:
-    """Per word, a callable returning its drawn token strings in corpus
-    order: its uniforms ``u[draws[word]]`` map to variants by one search of
-    its cdf.  A function of its own, so ``u`` is freed before lines are built."""
-    take = {}
-    for word, at in draws.items():
-        variants, cdf = _variant_cdf(table, word)
-        choices = [" ".join(map(marked, units)) for units in variants]
-        picks = cdf.searchsorted(u[np.frombuffer(at, dtype=np.intc)], side="right")
-        take[word] = iter([choices[k] for k in picks.tolist()]).__next__
-    return take
+def _token_strings(lines, table, lm, mode, rng) -> np.ndarray:
+    """Every token's marked string in corpus order; a function of its own, so
+    its per-token arrays are freed before :func:`segment_corpus` joins lines."""
+    index = defaultdict(count().__next__)       # word -> number, in order of first occurrence
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(map(str.split, lines))),
+                      dtype=np.intp)
+    draws = np.array([mode == "sample" and w in table for w in index], dtype=bool)
+    out = np.array([None if d else " ".join(map(marked, segment_word(w, table, lm, mode, rng)))
+                    for w, d in zip(index, draws)], dtype=object)[ids]
+    cdfs = [_variant_cdf(table, w) for w in compress(index, draws)]   # none in best mode
+    grid = np.full((len(cdfs), max((len(cdf) for _, cdf in cdfs), default=1)), np.inf)
+    choices = np.empty(grid.shape, dtype=object)
+    for r, (variants, cdf) in enumerate(cdfs):
+        grid[r, : len(cdf)] = cdf
+        choices[r, : len(cdf)] = [" ".join(map(marked, units)) for units in variants]
+    seen = draws[ids]                                       # the seen-word occurrences
+    rows = (draws.cumsum() - 1)[ids[seen]]                  # their rows of the grid
+    out[seen] = choices[rows, (grid[rows] <= rng.random(len(rows))[:, None]).sum(axis=1)]
+    return out
 
 
 def detokenize(line: str) -> str:

@@ -9,8 +9,9 @@ lattice into its frame-transition graph, whose padded successor table is
 also built here from the transition list.  No code is shared with the
 package's graph-based machinery on purpose.  Also the helpers only the tests
 need: a graph's transition list, an encoder's parameters as one flat vector,
-the label prior as the plain mean of a stream of posterior matrices, and a
-language model's perplexity.
+the label prior as the plain mean of a stream of posterior matrices, a
+language model's perplexity, and the synthetic-corpus generator that draws
+each chunk's noise on its own.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from adsm.corpus import Corpus, FeatureMatrix, Utterance, make_prototypes
 from adsm.ctc import collapse
 from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import CtcGraph, UttLattice, WordSegDAG, lattice_from_dag
@@ -319,3 +321,42 @@ def enumerate_oracle(lattice: UttLattice | WordSegDAG, logp: np.ndarray,
     for y in path_probs:
         path_probs[y] /= total
     return OracleResult(-math.log(total), best_path, path_probs)
+
+
+def gen_synthetic_per_chunk(spec):
+    """``corpus.gen_synthetic`` with one noise draw per chunk: each chunk's
+    frames are its tiled prototype plus its own ``rng.normal`` call, and an
+    utterance concatenates its chunks."""
+    protos = make_prototypes(spec)
+    rng = np.random.default_rng(spec.seed + 1)
+    words = sorted(spec.word_segs)
+
+    def first_unit(w):
+        chunks = spec.word_segs[w]
+        return (chunks[0], len(chunks) == 1)
+
+    clear = {p: [w for w in words if first_unit(w) != (spec.word_segs[p][-1], True)]
+             for p in words}
+    utts, truth, cycle = [], {}, 0
+    for i in range(spec.n_utterances):
+        n = int(rng.integers(spec.min_words, spec.max_words + 1))
+        picked = []
+        for _ in range(n):
+            if cycle < len(words) and (not picked or words[cycle] in clear[picked[-1]]):
+                picked.append(words[cycle])
+                cycle += 1
+                continue
+            pool = clear[picked[-1]] if picked else words
+            picked.append(pool[int(rng.integers(len(pool)))])
+        blocks, units = [], []
+        for w in picked:
+            chunks = spec.word_segs[w]
+            for j, c in enumerate(chunks):
+                base = np.tile(protos[c], (spec.frames_per_unit, 1))
+                blocks.append(base + rng.normal(0.0, spec.noise, base.shape))
+                units.append((c, j == len(chunks) - 1))
+        utt_id = f"utt{i:04d}"
+        utts.append(Utterance(utt_id, FeatureMatrix(utt_id, np.concatenate(blocks, axis=0)),
+                              tuple(picked)))
+        truth[utt_id] = tuple(units)
+    return Corpus(utts), truth

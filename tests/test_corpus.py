@@ -13,6 +13,7 @@ from adsm.errors import FormatError
 from adsm.lexicon import build_initial_vocab, make_initial_segtable
 from adsm.vocab import SegTable, Vocabulary
 from conftest import enumerate_segmentations
+from _reference import gen_synthetic_per_chunk
 
 
 def test_feature_matrix_validation():
@@ -172,6 +173,24 @@ def test_gen_synthetic_is_seeded():
     assert t1 == t2
     for a, b in zip(c1, c2):
         np.testing.assert_array_equal(a.features.values, b.features.values)
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(word_segs=SEGS, dim=3, frames_per_unit=4, n_utterances=20, seed=5,
+                  prototypes={c: np.arange(3.0) * k for k, c in enumerate(["ab", "cd"], 1)}),
+    SyntheticSpec(word_segs=SEGS, dim=4, frames_per_unit=1, n_utterances=20, seed=6),
+    SyntheticSpec(word_segs=SEGS, dim=1, frames_per_unit=3, n_utterances=20, seed=7),
+    SyntheticSpec(word_segs=SEGS, dim=2, n_utterances=20, min_words=3, max_words=3,
+                  noise=0.3, seed=8),
+])
+def test_gen_synthetic_equals_per_chunk_draws(spec):
+    corp, truth = gen_synthetic(spec)
+    ref, ref_truth = gen_synthetic_per_chunk(spec)
+    assert truth == ref_truth
+    assert [u.words for u in corp] == [u.words for u in ref]
+    for a, b in zip(corp, ref, strict=True):
+        assert a.features.values.shape == b.features.values.shape
+        assert a.features.values.tobytes() == b.features.values.tobytes()
 
 
 def test_gen_synthetic_rejects_unavoidable_repeats():

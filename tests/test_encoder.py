@@ -260,6 +260,19 @@ def test_params_save_load_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize("hidden", [(5, 4), (0,)])
+def test_params_file_holds_one_repr_per_value(tmp_path, hidden):
+    p = init_params(3, hidden, 6, radii=(1,) * len(hidden), seed=3)
+    path = tmp_path / "params.txt"
+    save_params(p, path)
+    head = path.read_text().partition("array\t")[0]
+    want = head + "".join(
+        f"array\t{name}\t{' '.join(map(str, a.shape))}\n"
+        + "".join(repr(float(v)) + "\n" for v in a.ravel())
+        for name, a in encoder._named_arrays(p))
+    assert path.read_bytes() == want.encode()
+
+
 def test_params_load_rejects_bad_files(tmp_path):
     path = tmp_path / "params.txt"
     path.write_text("wrong\n")

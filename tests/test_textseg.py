@@ -5,6 +5,7 @@ import pytest
 
 from adsm import textseg
 from adsm.errors import FormatError
+from adsm.lattice import build_word_dag_implicit
 from adsm.textseg import (BOS, EOS, SubwordNgramLM, detokenize,
                           segment_corpus, segment_word, train_lm)
 from adsm.vocab import SegTable, Vocabulary, marked
@@ -509,6 +510,150 @@ def test_segment_corpus_segments_each_draw_free_word_once(monkeypatch):
             calls.clear()
             segment_corpus(REPEATS, table, lm, mode=mode, seed=seed)
             assert sorted(calls) == sorted(draw_free)
+
+
+def _count_search(monkeypatch):
+    """Record (word, vocabulary object) for every run of the DP body."""
+    calls = []
+    search = textseg._search
+
+    def counting(word, vocab, lm):
+        calls.append((word, id(vocab)))
+        return search(word, vocab, lm)
+
+    monkeypatch.setattr(textseg, "_search", counting)
+    return calls
+
+
+def test_dp_body_runs_once_per_vocabulary_and_word(monkeypatch):
+    table = three_variant_table()
+    lm = train_lm(table)
+    calls = _count_search(monkeypatch)
+    unseen = {w for line in REPEATS for w in line.split() if w not in table}
+    first = [segment_corpus(REPEATS, table, lm, mode=mode, seed=1) for mode in ("best", "sample")]
+    again = [segment_corpus(REPEATS, table, lm, mode=mode, seed=1) for mode in ("best", "sample")]
+    assert again == first
+    assert sorted(calls) == sorted((w, id(table.vocab)) for w in unseen)
+    assert set(lm._segs[1]) == unseen          # one entry per distinct word
+    # an equal vocabulary that is another object recomputes, with equal results
+    other = SegTable.explicit(table.entries, Vocabulary(table.vocab.units))
+    calls.clear()
+    assert [segment_corpus(REPEATS, other, lm, mode=mode, seed=1)
+            for mode in ("best", "sample")] == first
+    assert sorted(calls) == sorted((w, id(other.vocab)) for w in unseen)
+
+
+def test_dp_memo_follows_add():
+    vocab = Vocabulary.from_units([("a", False), ("a", True), ("aa", True)])
+    lm = SubwordNgramLM(order=2, add_k=0.3,
+                        events=tuple(sorted(marked(u) for u in vocab)) + (EOS,))
+    table = SegTable.explicit({}, vocab)
+    assert segment_corpus(["aa"], table, lm) == ["aa_"]      # uniform: fewer units win
+    lm.add((BOS,), "a", 50.0)
+    lm.add(("a",), "a_", 50.0)
+    assert segment_corpus(["aa"], table, lm) == ["a a_"]
+
+
+def test_dp_memo_keeps_none_but_not_errors(monkeypatch):
+    calls = _count_search(monkeypatch)
+    vocab = Vocabulary.from_units([("c", False), ("d", True)])
+    lm = SubwordNgramLM(order=2, add_k=0.1,
+                        events=tuple(sorted(marked(u) for u in vocab)) + (EOS,))
+    for _ in range(2):
+        assert textseg._segment_dp("dc", vocab, lm) is None
+    assert calls == [("dc", id(vocab))] and lm._segs[1] == {"dc": None}
+    bare = SegTable.explicit({}, vocab)
+    for _ in range(2):                         # segment_word turns the None into an error
+        with pytest.raises(ValueError, match="current vocabulary"):
+            segment_word("dc", bare, lm)
+    assert len(calls) == 1
+    # a unit the LM does not know raises inside the DP, every time
+    short = SubwordNgramLM(order=2, add_k=0.1, events=("c", EOS))
+    calls.clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not an event of the LM"):
+            textseg._segment_dp("cd", vocab, short)
+    assert len(calls) == 2 and short._segs[1] == {}
+
+
+def test_span_bound_equals_an_unbounded_scan():
+    """Spans cut at the longest spelling give the arcs and DP results of a
+    scan over every substring, on vocabularies with one long unit."""
+    rng = np.random.default_rng(41)
+    long_arcs = 0
+    for _ in range(40):
+        units = {(ch, e) for ch in "ab" for e in (False, True)}
+        units |= {("".join(rng.choice(["a", "b"], size=int(rng.integers(2, 4)))),
+                   bool(rng.integers(2))) for _ in range(3)}
+        long = "".join(rng.choice(["a", "b"], size=int(rng.integers(5, 8))))
+        units.add((long, bool(rng.integers(2))))
+        vocab = Vocabulary.from_units(units)
+        assert vocab.max_len == len(long)
+        unbounded = Vocabulary(vocab.units)
+        unbounded.max_len = 100                 # longer than any word below
+        lm = SubwordNgramLM(order=2, add_k=0.2,
+                            events=tuple(sorted(marked(u) for u in vocab)) + (EOS,))
+        for tok in rng.choice([marked(u) for u in vocab], size=8):
+            lm.add((BOS,), str(tok), 1.0)
+        for _ in range(6):
+            pre, post = (rng.choice(["a", "b"], size=int(rng.integers(0, 3))) for _ in range(2))
+            word = "".join(pre) + (long if rng.integers(2) else "") + "".join(post) or "a"
+            arcs = build_word_dag_implicit(word, vocab).arcs
+            assert arcs == build_word_dag_implicit(word, unbounded).arcs
+            assert textseg._segment_dp(word, vocab, lm) == textseg._search(word, unbounded, lm)
+            long_arcs += any(j - i == len(long) for i, j, _ in arcs)
+    assert long_arcs >= 20
+
+
+def test_segment_corpus_picks_equal_searchsorted_on_random_tables():
+    """The grid pick against per-occurrence ``segment_word`` draws (one
+    ``searchsorted`` each), over words of 1-6 variants with weights down to
+    1e-6, so rows of the grid are padded with +inf."""
+    word = "abcd"
+    vocab = Vocabulary.from_units(
+        (word[i:j], j == len(word)) for i in range(4) for j in range(i + 1, 5))
+    spellings = {s for s, _ in vocab}
+    words = ["abcd", "bcd", "cd", "d"]            # suffixes: 8, 4, 2 and 1 splits
+    widths = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        entries = {}
+        for w in words:
+            segs = [tuple(vocab.id_of[u] for u in flagged(p))
+                    for p in enumerate_segmentations(w, spellings)]
+            k = int(rng.integers(1, min(6, len(segs)) + 1))
+            weights = rng.random(k) ** 4 * (1 - 1e-6) + 1e-6
+            weights /= weights.sum()
+            entries[w] = [(segs[i], float(x)) for i, x in zip(rng.permutation(len(segs)), weights)]
+            widths.add(k)
+        table = SegTable.explicit(entries, vocab)
+        lm = train_lm(table)
+        lines = random_corpus(rng, words + ["abd"])  # "abd": unseen, draws nothing
+        assert (segment_corpus(lines, table, lm, mode="sample", seed=seed)
+                == _per_word(lines, table, lm, "sample", seed))
+    assert widths == {1, 2, 3, 4, 5, 6}
+
+
+def test_segment_corpus_pick_at_a_uniform_equal_to_a_cdf_entry():
+    """A cdf entry equal to the uniform drawn counts as <= u, as with
+    ``searchsorted(side="right")``: the draw takes the next variant."""
+    table = small_table()
+    a, b_, ab_ = (table.vocab.id(*u) for u in [("a", False), ("b", True), ("ab", True)])
+    lm = train_lm(table)
+    lines = ["ab ab ab ab"]
+    hits = 0
+    for seed in range(40):
+        u = np.random.default_rng(seed).random(4)
+        for k in range(4):
+            tied = SegTable.explicit({"ab": [((a, b_), float(u[k])), ((ab_,), float(1 - u[k]))],
+                                      "b": [((b_,), 1.0)]}, table.vocab)
+            if textseg._variant_cdf(tied, "ab")[1][0] != u[k]:
+                continue
+            hits += 1
+            got = segment_corpus(lines, tied, lm, mode="sample", seed=seed)
+            assert got == _per_word(lines, tied, lm, "sample", seed)
+            assert got[0].replace("a b_", "a+b_").split()[k] == "ab_"
+    assert hits >= 20
 
 
 def test_detokenize():
