@@ -61,15 +61,14 @@ class UttLattice:
 def build_word_dag_implicit(word: str, vocab: Vocabulary) -> WordSegDAG:
     """DAG of every segmentation of ``word`` over the vocabulary.
 
-    Nodes are the character positions 0..len(word), and an arc spans at most
-    ``vocab.max_len`` characters.  Arcs that cannot reach the sink or be
-    reached from the source are pruned so downstream graphs carry no dead
-    states.  Raises ValueError when the word is not spellable.
+    Nodes are the character positions 0..len(word).  Arcs that cannot reach
+    the sink or be reached from the source are pruned so downstream graphs
+    carry no dead states.  Raises ValueError when the word is not spellable.
     """
     n = len(word)
     candidate = []
     for i in range(n):
-        for j in range(i + 1, min(i + vocab.max_len, n) + 1):
+        for j in range(i + 1, n + 1):
             unit = (word[i:j], j == n)
             uid = vocab.id_of.get(unit)
             if uid is not None:

@@ -181,14 +181,14 @@ def _segment_dp(word: str, vocab: Vocabulary, lm: SubwordNgramLM):
 def _search(word: str, vocab: Vocabulary, lm: SubwordNgramLM):
     """The DP behind :func:`_segment_dp`.  States are (character position,
     LM history), one dict of LM histories per position, filled in position
-    order; a unit spans at most ``vocab.max_len`` characters.  Ties fall to
-    fewer units, then to the lexicographically smallest token sequence.
+    order.  Ties fall to fewer units, then to the lexicographically
+    smallest token sequence.
     """
     L = len(word)
     # spans[i]: units starting at i as (end position, unit, token)
     spans: list[list[tuple[int, Unit, str]]] = [[] for _ in range(L)]
     for i in range(L):
-        for j in range(i + 1, min(i + vocab.max_len, L) + 1):
+        for j in range(i + 1, L + 1):
             unit = (word[i:j], j == L)
             if unit in vocab.id_of:
                 tok = marked(unit)
@@ -274,10 +274,10 @@ def segment_corpus(lines, table: SegTable, lm: SubwordNgramLM,
     unseen word's DP result, one entry per word, for the table's vocabulary
     object until :meth:`SubwordNgramLM.add`, so later calls skip the DP.
     ``sample`` mode takes one uniform per seen-word occurrence, in corpus
-    order, from one ``rng.random(n)`` call; a pick is the count of cdf
-    entries <= u in one (seen words x variants) grid padded with +inf,
-    which is ``cdf.searchsorted(u, side="right")``.  So the lines equal
-    segmenting every occurrence with :func:`segment_word` and one generator.
+    order, from one ``rng.random(n)`` call, and picks each seen word's
+    variants with one ``cdf.searchsorted(u, side="right")`` over its
+    occurrences' uniforms.  So the lines equal segmenting every occurrence
+    with :func:`segment_word` and one generator.
     """
     if mode not in ("best", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -291,20 +291,19 @@ def _token_strings(lines, table, lm, mode, rng) -> np.ndarray:
     its per-token arrays are freed before :func:`segment_corpus` joins lines."""
     index = defaultdict(count().__next__)       # word -> number, in order of first occurrence
     ids = np.fromiter(map(index.__getitem__, chain.from_iterable(map(str.split, lines))),
-                      dtype=np.intp)
+                      dtype=np.int32)       # word numbers, then numbers of their strings
     draws = np.array([mode == "sample" and w in table for w in index], dtype=bool)
-    out = np.array([None if d else " ".join(map(marked, segment_word(w, table, lm, mode, rng)))
-                    for w, d in zip(index, draws)], dtype=object)[ids]
-    cdfs = [_variant_cdf(table, w) for w in compress(index, draws)]   # none in best mode
-    grid = np.full((len(cdfs), max((len(cdf) for _, cdf in cdfs), default=1)), np.inf)
-    choices = np.empty(grid.shape, dtype=object)
-    for r, (variants, cdf) in enumerate(cdfs):
-        grid[r, : len(cdf)] = cdf
-        choices[r, : len(cdf)] = [" ".join(map(marked, units)) for units in variants]
-    seen = draws[ids]                                       # the seen-word occurrences
-    rows = (draws.cumsum() - 1)[ids[seen]]                  # their rows of the grid
-    out[seen] = choices[rows, (grid[rows] <= rng.random(len(rows))[:, None]).sum(axis=1)]
-    return out
+    strings = [None if d else " ".join(map(marked, segment_word(w, table, lm, mode, rng)))
+               for w, d in zip(index, draws)]      # then each seen word's variants
+    seen = np.flatnonzero(draws[ids])                   # the seen-word occurrences
+    u = rng.random(len(seen))
+    order = np.argsort(ids[seen], kind="stable")        # grouped by word
+    cuts = np.bincount(ids, minlength=len(draws))[draws].cumsum()[:-1]
+    for w, k in zip(compress(index, draws), np.split(order, cuts)):
+        variants, cdf = _variant_cdf(table, w)
+        ids[seen[k]] = len(strings) + cdf.searchsorted(u[k], side="right")
+        strings += [" ".join(map(marked, units)) for units in variants]
+    return np.array(strings, dtype=object)[ids]
 
 
 def detokenize(line: str) -> str:

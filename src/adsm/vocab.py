@@ -54,8 +54,7 @@ class Vocabulary:
     """Dense, immutable bijection between units and integer ids.
 
     Ids are assigned by position in the ``units`` sequence; the blank class
-    sits at ``len(units)`` and is not part of the inventory.  ``max_len``,
-    the longest spelling, bounds the scans over a word's substrings.
+    sits at ``len(units)`` and is not part of the inventory.
     """
 
     def __init__(self, units: Iterable[Unit]):
@@ -69,7 +68,6 @@ class Vocabulary:
             id_of[unit] = i
         self.units = units
         self.id_of = id_of
-        self.max_len = max((len(s) for s, _ in units), default=0)
 
     @classmethod
     def from_units(cls, units: Iterable[Unit]) -> "Vocabulary":

@@ -5,7 +5,6 @@ import pytest
 
 from adsm import textseg
 from adsm.errors import FormatError
-from adsm.lattice import build_word_dag_implicit
 from adsm.textseg import (BOS, EOS, SubwordNgramLM, detokenize,
                           segment_corpus, segment_word, train_lm)
 from adsm.vocab import SegTable, Vocabulary, marked
@@ -576,39 +575,10 @@ def test_dp_memo_keeps_none_but_not_errors(monkeypatch):
     assert len(calls) == 2 and short._segs[1] == {}
 
 
-def test_span_bound_equals_an_unbounded_scan():
-    """Spans cut at the longest spelling give the arcs and DP results of a
-    scan over every substring, on vocabularies with one long unit."""
-    rng = np.random.default_rng(41)
-    long_arcs = 0
-    for _ in range(40):
-        units = {(ch, e) for ch in "ab" for e in (False, True)}
-        units |= {("".join(rng.choice(["a", "b"], size=int(rng.integers(2, 4)))),
-                   bool(rng.integers(2))) for _ in range(3)}
-        long = "".join(rng.choice(["a", "b"], size=int(rng.integers(5, 8))))
-        units.add((long, bool(rng.integers(2))))
-        vocab = Vocabulary.from_units(units)
-        assert vocab.max_len == len(long)
-        unbounded = Vocabulary(vocab.units)
-        unbounded.max_len = 100                 # longer than any word below
-        lm = SubwordNgramLM(order=2, add_k=0.2,
-                            events=tuple(sorted(marked(u) for u in vocab)) + (EOS,))
-        for tok in rng.choice([marked(u) for u in vocab], size=8):
-            lm.add((BOS,), str(tok), 1.0)
-        for _ in range(6):
-            pre, post = (rng.choice(["a", "b"], size=int(rng.integers(0, 3))) for _ in range(2))
-            word = "".join(pre) + (long if rng.integers(2) else "") + "".join(post) or "a"
-            arcs = build_word_dag_implicit(word, vocab).arcs
-            assert arcs == build_word_dag_implicit(word, unbounded).arcs
-            assert textseg._segment_dp(word, vocab, lm) == textseg._search(word, unbounded, lm)
-            long_arcs += any(j - i == len(long) for i, j, _ in arcs)
-    assert long_arcs >= 20
-
-
 def test_segment_corpus_picks_equal_searchsorted_on_random_tables():
-    """The grid pick against per-occurrence ``segment_word`` draws (one
-    ``searchsorted`` each), over words of 1-6 variants with weights down to
-    1e-6, so rows of the grid are padded with +inf."""
+    """Picks grouped by word (one ``searchsorted`` per word) against
+    per-occurrence ``segment_word`` draws (one ``searchsorted`` each), over
+    words of 1-6 variants with weights down to 1e-6."""
     word = "abcd"
     vocab = Vocabulary.from_units(
         (word[i:j], j == len(word)) for i in range(4) for j in range(i + 1, 5))
