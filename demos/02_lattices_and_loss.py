@@ -2,9 +2,10 @@
 Segmentation lattices and the marginalized CTC loss
 ===================================================
 
-A word's segmentation set is packed into a DAG whose paths are exactly the
-allowed unit sequences.  Expanding the DAG inserts a blank state per node
-and self-loops per state, giving the frame-level graph the loss sums over.
+A word's segmentation set is packed into a one-word lattice, a DAG whose
+paths are exactly the allowed unit sequences.  Expanding the lattice inserts
+a blank state per node and self-loops per state, giving the frame-level
+graph the loss sums over.
 On graphs small enough to enumerate, the dynamic program must agree with
 brute force, and that is checked here side by side.
 """
@@ -38,9 +39,9 @@ for ids in sorted(enumerate_label_paths(dag)):
 n_paths, mean_len = path_length_stats(dag)
 print(f"{n_paths} paths, mean length {mean_len:.1f}")
 
-# Utterance "ab b": per-word DAGs chained sink-to-source.  The frame graph
-# needs at least min_frames frames; identical adjacent unit classes would
-# force a blank frame between them.
+# Utterance "ab b": one-word lattices chained, each last node fused with the
+# next one's first.  The frame graph needs at least min_frames frames;
+# identical adjacent unit classes would force a blank frame between them.
 word2 = build_word_dag_explicit([(vocab.id("b", True),)], vocab)
 lat = concat_utterance([dag, word2])
 graph = ctc_expand(lat, vocab)

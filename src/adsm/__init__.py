@@ -17,10 +17,9 @@ from .encoder import (EncoderParams, TrainConfig, encode, init_params,
                       load_params, resize_output, save_params, train)
 from .errors import (AdsmError, FormatError, InfeasibleUtteranceError,
                      NumericalError)
-from .lattice import (CtcGraph, UttLattice, WordSegDAG,
-                      build_word_dag_explicit, build_word_dag_implicit,
-                      concat_utterance, ctc_expand, expand_lattices,
-                      path_length_stats, path_stats)
+from .lattice import (CtcGraph, UttLattice, build_word_dag_explicit,
+                      build_word_dag_implicit, concat_utterance, ctc_expand,
+                      expand_lattices, path_length_stats, path_stats)
 from .lexicon import (G2PEntry, build_initial_vocab, make_initial_segtable,
                       merge_null_chunks, parse_g2p, prepare_entries)
 from .pipeline import (AlignedUtt, PipelineConfig, RunResult, VariantStats,
@@ -38,10 +37,10 @@ __all__ = [
     "InfeasibleUtteranceError", "MetricsRow", "NumericalError",
     "PipelineConfig", "RunResult", "SegMode", "SegTable", "SubwordNgramLM",
     "SyntheticSpec", "TrainConfig", "Unit", "UttLattice", "Utterance",
-    "VariantStats", "Vocabulary", "WordSegDAG", "align_corpus",
-    "build_initial_vocab", "build_word_dag_explicit",
-    "build_word_dag_implicit", "collapse", "concat_utterance", "ctc_expand",
-    "detokenize", "encode", "estimate_prior", "expand_lattices", "finalize",
+    "VariantStats", "Vocabulary", "align_corpus", "build_initial_vocab",
+    "build_word_dag_explicit", "build_word_dag_implicit", "collapse",
+    "concat_utterance", "ctc_expand", "detokenize", "encode",
+    "estimate_prior", "expand_lattices", "finalize",
     "format_report", "gen_synthetic", "init_params", "load_corpus",
     "load_params", "log_loss", "make_initial_segtable", "make_targets",
     "marked", "merge_null_chunks", "merge_subwords", "metrics_for",

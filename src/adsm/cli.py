@@ -78,6 +78,13 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in str(text).split(","))
 
 
+def _switch(text: str) -> bool:
+    """A config file's value of an on/off flag: 0, false, 1 or true."""
+    if text not in ("0", "false", "1", "true"):
+        raise ValueError(f"expected an on/off value 0, false, 1 or true, not {text!r}")
+    return text in ("1", "true")
+
+
 def _load_corpus(a: _Args):
     return corpus_io.load_corpus(a.require("features"), a.require("transcripts"))
 
@@ -263,7 +270,7 @@ def cmd_gen_synthetic(a: _Args) -> int:
 def cmd_report(a: _Args) -> int:
     vocab, table = _load_table(a)
     counts = None
-    if a.get("token_level", False):
+    if a.get("token_level", False, _switch):
         trans = corpus_io.read_transcripts(a.require("transcripts"))
         from collections import Counter
         counts = Counter(w for ws in trans.values() for w in ws)

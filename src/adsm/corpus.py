@@ -147,7 +147,8 @@ def read_transcripts(path) -> dict[str, tuple[str, ...]]:
 
 def load_corpus(feature_path, transcript_path) -> Corpus:
     """Join features and transcripts on utterance id; unmatched ids on either
-    side are excluded with a warning."""
+    side are excluded with a warning.  Raises ValueError when no utterance
+    is left."""
     mats = read_features(feature_path)
     trans = read_transcripts(transcript_path)
     have = {m.utt_id for m in mats}
@@ -160,6 +161,8 @@ def load_corpus(feature_path, transcript_path) -> Corpus:
     for utt_id in trans:
         if utt_id not in have:
             log.warning("transcription %r has no features; dropped", utt_id)
+    if not utts:
+        raise ValueError(f"no utterance of {feature_path} has a transcript in {transcript_path}")
     return Corpus(utts)
 
 

@@ -13,7 +13,8 @@ loss or occupancy comes out non-finite that way is recomputed in log space.
 Both spaces share one backward loop, which runs in natural frame order and
 starts each block at its own last frame; no frames are reversed.  Viterbi,
 sampling and the log-space forward share one frame loop that differs only in
-its reduction (log-sum-exp or max).
+its reduction (log-sum-exp or max).  Each one-utterance entry (``log_loss``,
+``viterbi``, ``sample_path``) is the B = 1 call of its batched DP.
 """
 
 from __future__ import annotations
@@ -333,23 +334,6 @@ def viterbi_paths(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.ndar
                   shift)
 
 
-def batch_viterbi(graphs: Sequence[CtcGraph], posteriors: Sequence[np.ndarray],
-                  prior: np.ndarray | None = None,
-                  prior_scale: float = 0.0) -> list[Alignment]:
-    """:func:`viterbi` of B utterances in one max sweep over their graphs
-    stacked block-diagonally and one backtrace of all B paths.  Each
-    ``posteriors[b]`` is that utterance's own unpadded (T_b, C) matrix; every
-    path is state for state that of a separate call."""
-    posteriors = [_check_posteriors(logp) for logp in posteriors]
-    lengths = np.array([len(logp) for logp in posteriors])
-    padded = np.full((len(posteriors), lengths.max(), posteriors[0].shape[1]), -np.inf)
-    for row, logp in zip(padded, posteriors):
-        row[: len(logp)] = logp
-    path, offsets = viterbi_paths(graphs, padded, lengths, prior, prior_scale)
-    return [_alignment_from_states(graph, path[n - 1 :: -1, b] - lo)
-            for b, (graph, n, lo) in enumerate(zip(graphs, lengths, offsets))]
-
-
 def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
             prior_scale: float = 0.0) -> Alignment:
     """Best accepted frame path under prior-divided posteriors.
@@ -357,9 +341,11 @@ def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
     Maximizes sum_t ( logp[t, y_t] - prior_scale * log q[y_t] ); the prior is
     floored at 1e-10 before the division so unseen classes stay finite.  Ties
     resolve to the smallest predecessor state id, making alignments
-    bit-reproducible.  The B = 1 call of :func:`batch_viterbi`.
+    bit-reproducible.  The B = 1 call of :func:`viterbi_paths`.
     """
-    return batch_viterbi([graph], [logp], prior, prior_scale)[0]
+    logp = _check_posteriors(logp)
+    path, _ = viterbi_paths([graph], logp[None], np.array([len(logp)]), prior, prior_scale)
+    return _alignment_from_states(graph, path[::-1, 0])
 
 
 def estimate_prior(sums: np.ndarray, frames: int) -> np.ndarray:

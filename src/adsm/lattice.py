@@ -1,13 +1,13 @@
-"""Per-word segmentation DAGs, utterance lattices, and their blank-augmented
-frame-transition graphs.
+"""Utterance lattices and their blank-augmented frame-transition graphs.
 
-A :class:`WordSegDAG` encodes a word's allowed unit sequences as labeled arcs
-between character positions (implicit form) or trie nodes (explicit form).
-Word DAGs concatenate into an :class:`UttLattice`, which expands into a
-:class:`CtcGraph` whose frame paths are exactly the blank-augmented alignments
-of every allowed unit sequence.  The graph keeps its transitions in one
-table, each state's predecessors; the loss's backward pass derives the
-successors from it.
+An :class:`UttLattice` encodes the allowed unit sequences of a word sequence
+as labeled arcs between nodes.  A word's segmentations form a one-word
+lattice over its character positions (implicit form) or trie nodes
+(explicit form); such lattices chain into an utterance lattice, which
+expands into a :class:`CtcGraph` whose frame paths are exactly the
+blank-augmented alignments of every allowed unit sequence.  The graph keeps
+its transitions in one table, each state's predecessors; the loss's backward
+pass derives the successors from it.
 """
 
 from __future__ import annotations
@@ -22,44 +22,18 @@ from .vocab import Vocabulary
 
 
 @dataclass(frozen=True)
-class WordSegDAG:
-    """Acyclic graph over one word; every source-to-sink path is one allowed
-    unit sequence.  ``node_pos[n]`` is the character position of node ``n``;
-    the source is node 0 at position 0, the sink is the last node at
-    position ``len(word)``.  Arcs into the sink carry word-end labels."""
-
-    word: str
-    node_pos: tuple[int, ...]
-    arcs: tuple[tuple[int, int, int], ...]  # (from_node, to_node, unit id)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_pos)
-
-    @property
-    def source(self) -> int:
-        return 0
-
-    @property
-    def sink(self) -> int:
-        return len(self.node_pos) - 1
-
-
-@dataclass(frozen=True)
 class UttLattice:
-    """Concatenation of word DAGs; arcs never cross a word boundary.
-
-    ``boundaries[i]`` is the node where word ``i`` starts; the final entry is
-    the global sink."""
+    """Acyclic graph over a word sequence; every path from node 0 to the last
+    node is one allowed unit sequence.  Arcs never cross a word boundary,
+    and arcs that end a word carry word-end labels."""
 
     words: tuple[str, ...]
     n_nodes: int
     arcs: tuple[tuple[int, int, int, int], ...]  # (from, to, unit id, word index)
-    boundaries: tuple[int, ...]
 
 
-def build_word_dag_implicit(word: str, vocab: Vocabulary) -> WordSegDAG:
-    """DAG of every segmentation of ``word`` over the vocabulary.
+def build_word_dag_implicit(word: str, vocab: Vocabulary) -> UttLattice:
+    """One-word lattice of every segmentation of ``word`` over the vocabulary.
 
     Nodes are the character positions 0..len(word).  Arcs that cannot reach
     the sink or be reached from the source are pruned so downstream graphs
@@ -85,13 +59,14 @@ def build_word_dag_implicit(word: str, vocab: Vocabulary) -> WordSegDAG:
             bwd[i] = True
     if not (fwd[n] and bwd[0]):
         raise ValueError(f"word {word!r} is not spellable over the vocabulary")
-    arcs = tuple((i, j, uid) for i, j, uid in candidate if fwd[i] and bwd[j])
-    return WordSegDAG(word, tuple(range(n + 1)), arcs)
+    arcs = tuple((i, j, uid, 0) for i, j, uid in candidate if fwd[i] and bwd[j])
+    return UttLattice((word,), n + 1, arcs)
 
 
 def build_word_dag_explicit(variants: Sequence[Sequence[int]],
-                            vocab: Vocabulary) -> WordSegDAG:
-    """Prefix-sharing DAG whose path set is exactly the given variant set.
+                            vocab: Vocabulary) -> UttLattice:
+    """Prefix-sharing one-word lattice whose path set is exactly the given
+    variant set.
 
     Variants sharing only a suffix stay on separate branches (merging them
     could splice paths together); all branches join at a single sink node.
@@ -109,50 +84,42 @@ def build_word_dag_explicit(variants: Sequence[Sequence[int]],
     if len(words) > 1:
         raise ValueError(f"variants spell different words: {sorted(words)}")
     word = words.pop()
-    n = len(word)
 
     # Trie over variant prefixes; node ids in discovery order, sink appended last.
-    node_pos = [0]
     children: list[dict[int, int]] = [{}]
-    trie_arcs: list[tuple[int, int, int]] = []
+    trie_arcs: list[tuple[int, int, int, int]] = []
     ends: list[tuple[int, int]] = []  # (pre-final node, final unit id)
     for ids in seqs:
         node = 0
         for uid in ids[:-1]:
             nxt = children[node].get(uid)
             if nxt is None:
-                nxt = len(node_pos)
-                spelling, _ = vocab.unit(uid)
-                node_pos.append(node_pos[node] + len(spelling))
+                nxt = len(children)
                 children.append({})
                 children[node][uid] = nxt
-                trie_arcs.append((node, nxt, uid))
+                trie_arcs.append((node, nxt, uid, 0))
             node = nxt
         ends.append((node, ids[-1]))
-    sink = len(node_pos)
-    node_pos.append(n)
-    arcs = tuple(trie_arcs) + tuple((node, sink, uid) for node, uid in ends)
-    return WordSegDAG(word, tuple(node_pos), arcs)
+    sink = len(children)
+    arcs = tuple(trie_arcs) + tuple((node, sink, uid, 0) for node, uid in ends)
+    return UttLattice((word,), sink + 1, arcs)
 
 
-def concat_utterance(dags: Sequence[WordSegDAG]) -> UttLattice:
-    """Chain word DAGs, fusing each sink with the next source."""
-    if not dags:
+def concat_utterance(lattices: Sequence[UttLattice]) -> UttLattice:
+    """Chain lattices, fusing each one's last node with the next one's node 0
+    and shifting its word indices past the words before it."""
+    if not lattices:
         raise ValueError("empty word list")
     arcs: list[tuple[int, int, int, int]] = []
-    boundaries = [0]
+    words: list[str] = []
     offset = 0
-    for w, dag in enumerate(dags):
-        for u, v, uid in dag.arcs:
-            arcs.append((u + offset, v + offset, uid, w))
-        offset += dag.n_nodes - 1  # sink is reused as the next word's source
-        boundaries.append(offset)
-    return UttLattice(tuple(d.word for d in dags), offset + 1, tuple(arcs),
-                      tuple(boundaries))
-
-
-def lattice_from_dag(dag: WordSegDAG) -> UttLattice:
-    return concat_utterance([dag])
+    for lat in lattices:
+        n_words = len(words)
+        for u, v, uid, w in lat.arcs:
+            arcs.append((u + offset, v + offset, uid, w + n_words))
+        offset += lat.n_nodes - 1  # the last node is reused as the next one's node 0
+        words.extend(lat.words)
+    return UttLattice(tuple(words), offset + 1, tuple(arcs))
 
 
 @dataclass
@@ -309,20 +276,19 @@ def _neighbour_tables(rows: np.ndarray, cols: np.ndarray, off: np.ndarray) -> li
             zip(np.maximum.reduceat(count, off[:-1]).tolist(), bounds, bounds[1:])]
 
 
-def path_stats(g: WordSegDAG | UttLattice) -> tuple[int, int, int]:
+def path_stats(lattice: UttLattice) -> tuple[int, int, int]:
     """(path count, shortest label length, longest label length) by DP."""
-    count, _, lo, hi = _label_path_dp(g)
+    count, _, lo, hi = _label_path_dp(lattice)
     return count, lo, hi
 
 
-def path_length_stats(g: WordSegDAG | UttLattice) -> tuple[int, float]:
+def path_length_stats(lattice: UttLattice) -> tuple[int, float]:
     """(path count, mean label length over all paths)."""
-    count, total, _, _ = _label_path_dp(g)
+    count, total, _, _ = _label_path_dp(lattice)
     return count, total / count if count else 0.0
 
 
-def _label_path_dp(g):
-    lattice = lattice_from_dag(g) if isinstance(g, WordSegDAG) else g
+def _label_path_dp(lattice: UttLattice):
     n = len(lattice.arcs)
     out_by_node: list[list[int]] = [[] for _ in range(lattice.n_nodes)]
     for a, (u, _, _, _) in enumerate(lattice.arcs):

@@ -128,8 +128,7 @@ def utterance_lattice(words, vocab: Vocabulary, table: SegTable,
     for implicit tables, listed variants otherwise)."""
     dags = []
     for word in words:
-        key = word
-        dag = None if dag_cache is None else dag_cache.get(key)
+        dag = None if dag_cache is None else dag_cache.get(word)
         if dag is None:
             if table.mode is SegMode.IMPLICIT_ALL:
                 dag = build_word_dag_implicit(word, vocab)
@@ -137,7 +136,7 @@ def utterance_lattice(words, vocab: Vocabulary, table: SegTable,
                 dag = build_word_dag_explicit(
                     [ids for ids, _ in table.variants(word)], vocab)
             if dag_cache is not None:
-                dag_cache[key] = dag
+                dag_cache[word] = dag
         dags.append(dag)
     return concat_utterance(dags)
 

@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 from adsm.corpus import Corpus, FeatureMatrix, Utterance, make_prototypes
 from adsm.ctc import collapse
 from adsm.errors import InfeasibleUtteranceError, NumericalError
-from adsm.lattice import CtcGraph, UttLattice, WordSegDAG, lattice_from_dag
+from adsm.lattice import CtcGraph, UttLattice
 
 NEG_INF = float("-inf")
 
@@ -251,12 +251,11 @@ def _neighbour_table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def enumerate_label_paths(g: WordSegDAG | UttLattice) -> list[tuple[int, ...]]:
+def enumerate_label_paths(lattice: UttLattice) -> list[tuple[int, ...]]:
     """All source-to-sink unit-id sequences, by plain recursive walk.
 
     Exponential in path count; test and oracle use only.
     """
-    lattice = lattice_from_dag(g) if isinstance(g, WordSegDAG) else g
     out_by_node: list[list[tuple[int, int]]] = [[] for _ in range(lattice.n_nodes)]
     for u, v, uid, _ in lattice.arcs:
         out_by_node[u].append((v, uid))
@@ -283,12 +282,11 @@ class OracleResult:
     path_probs: dict[tuple[int, ...], float]   # accepted frame path -> posterior
 
 
-def enumerate_oracle(lattice: UttLattice | WordSegDAG, logp: np.ndarray,
+def enumerate_oracle(lattice: UttLattice, logp: np.ndarray,
                      max_frames: int = 8, max_units: int = 5) -> OracleResult:
     """Exhaustive reference: walk every frame string over the classes, keep
     those whose collapse is an allowed unit sequence, and tally in linear
     space with plain Python floats."""
-    lattice = lattice_from_dag(lattice) if isinstance(lattice, WordSegDAG) else lattice
     logp = np.asarray(logp, dtype=np.float64)
     if logp.ndim != 2:
         raise ValueError("posterior matrix must be 2-D")

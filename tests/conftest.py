@@ -3,7 +3,7 @@
 import numpy as np
 
 from adsm.lattice import (build_word_dag_explicit, build_word_dag_implicit,
-                          concat_utterance, ctc_expand, lattice_from_dag)
+                          concat_utterance, ctc_expand)
 from adsm.vocab import Vocabulary
 
 
@@ -100,8 +100,7 @@ def implicit_instance(rng: np.random.Generator, word: str = "abba",
                       max_frames: int = 6):
     """Single-word all-segmentations lattice over the word's characters."""
     vocab = chars_vocab(word)
-    dag = build_word_dag_implicit(word, vocab)
-    lat = lattice_from_dag(dag)
+    lat = build_word_dag_implicit(word, vocab)
     graph = ctc_expand(lat, vocab)
     n_frames = int(rng.integers(graph.min_frames, max_frames + 1))
     return lat, vocab, random_logp(rng, n_frames, vocab.num_classes)

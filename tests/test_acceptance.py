@@ -18,7 +18,7 @@ from adsm.corpus import SyntheticSpec, g2p_entries_for, gen_synthetic
 from adsm.ctc import log_loss, sample_path, viterbi
 from adsm.encoder import TrainConfig, init_params, utterance_grads
 from adsm.lattice import (build_word_dag_explicit, build_word_dag_implicit,
-                          concat_utterance, ctc_expand, lattice_from_dag)
+                          concat_utterance, ctc_expand)
 from adsm.pipeline import PipelineConfig, run_pipeline
 from adsm.textseg import detokenize, segment_corpus, segment_word, train_lm
 from adsm.vocab import SegTable, Vocabulary, marked
@@ -57,18 +57,18 @@ def _fixed_sampling_graphs():
     v1 = Vocabulary.from_units([("a", False), ("a", True), ("b", True), ("ab", True)])
     d1 = build_word_dag_explicit([(v1.id("a", False), v1.id("b", True)),
                                   (v1.id("ab", True),)], v1)
-    out.append((lattice_from_dag(d1), v1, 4))
+    out.append((d1, v1, 4))
 
     v2 = chars_vocab("a")
     d2 = build_word_dag_explicit([(v2.id("a", False), v2.id("a", True))], v2)
-    out.append((lattice_from_dag(d2), v2, 4))
+    out.append((d2, v2, 4))
 
     v3 = chars_vocab("a")
     d3 = [build_word_dag_explicit([(v3.id("a", True),)], v3) for _ in range(2)]
     out.append((concat_utterance(d3), v3, 4))
 
     v4 = chars_vocab("aba")
-    out.append((lattice_from_dag(build_word_dag_implicit("aba", v4)), v4, 5))
+    out.append((build_word_dag_implicit("aba", v4), v4, 5))
 
     v5 = Vocabulary.from_units([("a", False), ("b", False), ("b", True), ("ab", True)])
     d5a = build_word_dag_explicit([(v5.id("a", False), v5.id("b", True)),
@@ -197,8 +197,8 @@ def test_c5_adding_a_variant_never_increases_loss():
         to_ids = lambda s: tuple(vocab.id_of[u] for u in flagged(s))
         small = [to_ids(segs[i]) for i in order[:k]]
         large = small + [to_ids(segs[order[k]])]
-        g_small = ctc_expand(lattice_from_dag(build_word_dag_explicit(small, vocab)), vocab)
-        g_large = ctc_expand(lattice_from_dag(build_word_dag_explicit(large, vocab)), vocab)
+        g_small = ctc_expand(build_word_dag_explicit(small, vocab), vocab)
+        g_large = ctc_expand(build_word_dag_explicit(large, vocab), vocab)
         T = g_small.min_frames + int(rng.integers(0, 3))
         logp = random_logp(rng, T, vocab.num_classes)
         loss_small, _ = log_loss(g_small, logp)

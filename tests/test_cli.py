@@ -9,7 +9,7 @@ import pytest
 
 from adsm import cli
 from adsm.cli import main
-from adsm.corpus import SyntheticSpec
+from adsm.corpus import SyntheticSpec, write_transcripts
 from adsm.encoder import TrainConfig, init_params, load_params, save_params
 from adsm.errors import FormatError
 from adsm.pipeline import PipelineConfig
@@ -305,6 +305,46 @@ def test_bad_config_line_exits_2(tmp_path, capsys):
     rc = main(["report", "--config", str(cfg), "--vocab", "x", "--segtable", "y"])
     assert rc == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_config_token_level_reads_0_false_1_true(datadir, tmp_path, capsys):
+    d = str(datadir)
+    vocab0, table0 = str(tmp_path / "vocab0.tsv"), str(tmp_path / "table0.tsv")
+    assert main(["init", "--g2p", f"{d}/g2p.tsv", "--out-vocab", vocab0,
+                 "--out-segtable", table0]) == 0
+    report = ["report", "--vocab", vocab0, "--segtable", table0]
+    capsys.readouterr()
+    assert main(report) == 0
+    by_type = capsys.readouterr().out
+    assert main(report + ["--token-level", "--transcripts", f"{d}/transcripts.tsv"]) == 0
+    by_token = capsys.readouterr().out
+    assert by_token != by_type
+    cfg = tmp_path / "report.cfg"
+    for body, want in [("token_level=0\n", by_type), ("token-level=false\n", by_type),
+                       (f"token_level=1\ntranscripts={d}/transcripts.tsv\n", by_token),
+                       (f"token_level=true\ntranscripts={d}/transcripts.tsv\n", by_token)]:
+        cfg.write_text(body, encoding="utf-8")
+        assert main(report + ["--config", str(cfg)]) == 0, body
+        assert capsys.readouterr().out == want, body
+    cfg.write_text("token_level=yes\n", encoding="utf-8")
+    assert main(report + ["--config", str(cfg)]) == 2
+    assert "not 'yes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_corpus_without_a_joined_utterance_exits_2(datadir, tmp_path, capsys, command):
+    d = str(datadir)
+    trans = tmp_path / "other.tsv"
+    write_transcripts([("elsewhere", ("ab",))], trans)
+    vpath, tpath = _ab_cd_table(tmp_path)
+    rest = {"train": ["--vocab", vpath, "--segtable", tpath,
+                      "--out-params", str(tmp_path / "params.txt")],
+            "run": ["--g2p", f"{d}/g2p.tsv", "--outdir", str(tmp_path / "run")]}[command]
+    rc = main([command, "--features", f"{d}/features.tsv", "--transcripts", str(trans)] + rest)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error: no utterance" in err
+    assert f"{d}/features.tsv" in err and str(trans) in err
 
 
 def test_config_keys_are_the_subcommands_own_options(tmp_path):

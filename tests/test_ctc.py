@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from adsm import ctc
-from adsm.ctc import (_log_space_loss, _stack, _successors, batch_log_loss, batch_viterbi,
-                      collapse, estimate_prior, log_loss, logsumexp, sample_path, viterbi,
-                      viterbi_paths)
+from adsm.ctc import (_log_space_loss, _stack, _successors, batch_log_loss, collapse,
+                      estimate_prior, log_loss, logsumexp, sample_path, viterbi, viterbi_paths)
 from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import build_word_dag_explicit, build_word_dag_implicit, \
-    concat_utterance, ctc_expand, lattice_from_dag
+    concat_utterance, ctc_expand
 from adsm.vocab import Vocabulary
 from conftest import (chars_vocab, flagged, implicit_instance, random_logp,
                       random_oracle_instance)
@@ -70,7 +69,7 @@ def test_single_variant_reduces_to_plain_ctc():
         word = "".join(rng.choice(list("ab"), size=int(rng.integers(1, 4))))
         ids = tuple(vocab.id_of[u] for u in flagged(tuple(word)))
         dag = build_word_dag_explicit([ids], vocab)
-        graph = ctc_expand(lattice_from_dag(dag), vocab)
+        graph = ctc_expand(dag, vocab)
         T = int(rng.integers(graph.min_frames, graph.min_frames + 4))
         logp = random_logp(rng, T, vocab.num_classes)
         loss, _ = log_loss(graph, logp)
@@ -92,8 +91,7 @@ def test_viterbi_matches_oracle_argmax():
 def test_viterbi_prior_division_changes_the_winner():
     vocab = Vocabulary.from_units([("a", False), ("ab", True), ("b", True)])
     a, ab_, b_ = (vocab.id_of[u] for u in [("a", False), ("ab", True), ("b", True)])
-    dag = build_word_dag_explicit([(a, b_), (ab_,)], vocab)
-    lat = lattice_from_dag(dag)
+    lat = build_word_dag_explicit([(a, b_), (ab_,)], vocab)
     graph = ctc_expand(lat, vocab)
     logp = np.log(np.array([[0.10, 0.60, 0.05, 0.25],
                             [0.05, 0.55, 0.30, 0.10]]))
@@ -119,7 +117,7 @@ def test_viterbi_tie_breaks_to_smallest_predecessor():
     # ending at state 1 via label state 2 gives frame labels (a_, eps)
     vocab = Vocabulary.from_units([("a", True)])
     dag = build_word_dag_implicit("a", vocab)
-    graph = ctc_expand(lattice_from_dag(dag), vocab)
+    graph = ctc_expand(dag, vocab)
     logp = np.full((2, 2), math.log(0.5))
     ali = viterbi(graph, logp)
     assert ali.frame_states == (2, 1)
@@ -130,7 +128,7 @@ def test_viterbi_tie_breaks_to_smallest_predecessor():
 
 def test_viterbi_validates_inputs():
     vocab = Vocabulary.from_units([("a", True)])
-    graph = ctc_expand(lattice_from_dag(build_word_dag_implicit("a", vocab)), vocab)
+    graph = ctc_expand(build_word_dag_implicit("a", vocab), vocab)
     logp = np.full((2, 2), math.log(0.5))
     with pytest.raises(ValueError, match="prior"):
         viterbi(graph, logp, prior_scale=0.3)
@@ -177,8 +175,7 @@ def test_sample_path_is_seeded_and_valid():
 def test_sample_path_frequencies_track_posteriors():
     vocab = chars_vocab("ab")
     ids = tuple(vocab.id_of[u] for u in flagged(("a", "b")))
-    dag = build_word_dag_explicit([ids], vocab)
-    lat = lattice_from_dag(dag)
+    lat = build_word_dag_explicit([ids], vocab)
     graph = ctc_expand(lat, vocab)
     rng = np.random.default_rng(131)
     logp = random_logp(rng, 3, vocab.num_classes)
@@ -196,7 +193,7 @@ def test_sample_path_frequencies_track_posteriors():
 
 def test_sample_path_temperature_validated():
     vocab = Vocabulary.from_units([("a", True)])
-    graph = ctc_expand(lattice_from_dag(build_word_dag_implicit("a", vocab)), vocab)
+    graph = ctc_expand(build_word_dag_implicit("a", vocab), vocab)
     with pytest.raises(ValueError, match="temperature"):
         sample_path(graph, np.full((1, 2), math.log(0.5)), temperature=0.0)
 
@@ -204,7 +201,7 @@ def test_sample_path_temperature_validated():
 def test_infeasible_and_numerical_errors():
     vocab = chars_vocab("ab")
     ids = tuple(vocab.id_of[u] for u in flagged(("a", "b")))
-    graph = ctc_expand(lattice_from_dag(build_word_dag_explicit([ids], vocab)), vocab)
+    graph = ctc_expand(build_word_dag_explicit([ids], vocab), vocab)
     short = np.full((1, vocab.num_classes), -math.log(vocab.num_classes))
     with pytest.raises(InfeasibleUtteranceError):
         log_loss(graph, short)
@@ -219,7 +216,7 @@ def test_infeasible_and_numerical_errors():
 
 def test_oracle_refuses_large_instances():
     vocab = chars_vocab("ab")
-    lat = lattice_from_dag(build_word_dag_implicit("ab", vocab))
+    lat = build_word_dag_implicit("ab", vocab)
     with pytest.raises(ValueError, match="too large"):
         enumerate_oracle(lat, random_logp(np.random.default_rng(0), 9, vocab.num_classes))
 
@@ -229,7 +226,7 @@ def test_forced_blank_between_repeated_units():
     # separating blank, but two adjacent words "a" repeat the same class and do
     vocab = Vocabulary.from_units([("a", False), ("a", True)])
     word_dag = build_word_dag_implicit("aa", vocab)
-    assert ctc_expand(lattice_from_dag(word_dag), vocab).min_frames == 2
+    assert ctc_expand(word_dag, vocab).min_frames == 2
     a_dag = build_word_dag_implicit("a", vocab)
     lat = concat_utterance([a_dag, a_dag])
     graph = ctc_expand(lat, vocab)
@@ -295,7 +292,7 @@ def _underflow_instance(T=4):
     at 0: scaled by each frame's best score, no unit survives the sweep."""
     vocab = chars_vocab("ab")
     ids = tuple(vocab.id_of[u] for u in flagged(("a", "b")))
-    graph = ctc_expand(lattice_from_dag(build_word_dag_explicit([ids], vocab)), vocab)
+    graph = ctc_expand(build_word_dag_explicit([ids], vocab), vocab)
     logp = np.full((T, vocab.num_classes), -1000.0)
     logp[:, vocab.blank_id] = 0.0
     return vocab, ids, graph, logp
@@ -329,7 +326,7 @@ def test_backward_overflow_falls_back_to_log_space(monkeypatch):
     # that state's scaled backward value overflows while the loss is finite.
     vocab = chars_vocab("ab")
     ids = tuple(vocab.id_of[u] for u in flagged(("a", "a", "a", "b")))
-    graph = ctc_expand(lattice_from_dag(build_word_dag_explicit([ids], vocab)), vocab)
+    graph = ctc_expand(build_word_dag_explicit([ids], vocab), vocab)
     logp = np.full((8, vocab.num_classes), -300.0)
     logp[:, vocab.id_of[("b", True)]] = 0.0
     want, want_occ = _log_space_loss([graph], logp[None], np.array([8]), True)
@@ -437,7 +434,7 @@ def _viterbi_pool(rng):
     min_frames and more, one-frame graphs, and integer scores full of exact
     ties."""
     vocab = chars_vocab("ab")
-    one = ctc_expand(lattice_from_dag(build_word_dag_implicit("a", vocab)), vocab)
+    one = ctc_expand(build_word_dag_implicit("a", vocab), vocab)
     assert one.min_frames == 1
     pool = [(one, random_logp(rng, 1, 5)), (one, np.full((3, 5), math.log(0.2)))]
     for i in range(34):
@@ -455,7 +452,25 @@ def _viterbi_pool(rng):
     return pool
 
 
-def test_batch_viterbi_equals_per_utterance_reference():
+def _padded(posteriors):
+    """The (B, T, C) block of the posteriors, padded with -inf, and their lengths."""
+    lengths = np.array([len(lp) for lp in posteriors])
+    logp = np.full((len(posteriors), lengths.max(), posteriors[0].shape[1]), -np.inf)
+    for row, lp in zip(logp, posteriors):
+        row[: len(lp)] = lp
+    return logp, lengths
+
+
+def _block_paths(graphs, posteriors, prior=None, prior_scale=0.0):
+    """Each utterance's state path from one :func:`viterbi_paths` call over
+    the padded block, in frame order and in its own graph's state ids."""
+    logp, lengths = _padded(posteriors)
+    path, offsets = viterbi_paths(graphs, logp, lengths, prior, prior_scale)
+    return [tuple((path[n - 1 :: -1, b] - offsets[b]).tolist())
+            for b, n in enumerate(lengths)]
+
+
+def test_viterbi_paths_equal_per_utterance_reference():
     rng = np.random.default_rng(137)
     pool = _viterbi_pool(rng)
     assert len(pool) > 16
@@ -466,10 +481,10 @@ def test_batch_viterbi_equals_per_utterance_reference():
         for batch in batches:
             graphs = [g for g, _ in batch]
             with np.errstate(all="raise"):
-                got = batch_viterbi(graphs, [logp for _, logp in batch], prior, prior_scale)
+                got = _block_paths(graphs, [logp for _, logp in batch], prior, prior_scale)
                 single = [viterbi(g, logp, prior, prior_scale) for g, logp in batch]
-            assert got == single
-            for (graph, logp), ali in zip(batch, got):
+            assert got == [ali.frame_states for ali in single]
+            for (graph, logp), ali in zip(batch, single):
                 scores = logp - prior_scale * np.log(np.maximum(prior, 1e-10))
                 assert ali.frame_states == viterbi_states(graph, scores)
                 assert ali.frame_labels == tuple(int(graph.labels[s]) for s in ali.frame_states)
@@ -505,10 +520,7 @@ def test_viterbi_paths_subtracts_the_prior_like_the_shifted_posteriors():
     prior[3] = 1e-13                    # below the floor
     for lo, hi in ((0, len(pool)), (0, 5), (5, 21), (1, 2)):
         graphs = [g for g, _ in pool[lo:hi]]
-        lengths = np.array([len(logp) for _, logp in pool[lo:hi]])
-        logp = np.full((len(graphs), lengths.max(), 5), -np.inf)
-        for row, (_, lp) in zip(logp, pool[lo:hi]):
-            row[: len(lp)] = lp
+        logp, lengths = _padded([lp for _, lp in pool[lo:hi]])
         for prior_scale in (0.3, 1.0):
             shifted = logp - prior_scale * np.log(np.maximum(prior, 1e-10))
             with np.errstate(all="raise"):
@@ -518,11 +530,11 @@ def test_viterbi_paths_subtracts_the_prior_like_the_shifted_posteriors():
                 np.testing.assert_array_equal(a, b)
 
 
-def test_batch_viterbi_ties_go_to_smallest_state():
+def test_viterbi_paths_ties_go_to_smallest_state():
     # uniform scores tie every accepted path of "a"; states are blank0 = 0,
     # blank1 = 1 and the label state 2, so the smallest ids win at each step
     vocab = Vocabulary.from_units([("a", True)])
-    graph = ctc_expand(lattice_from_dag(build_word_dag_implicit("a", vocab)), vocab)
+    graph = ctc_expand(build_word_dag_implicit("a", vocab), vocab)
     uniform = np.full((2, 2), math.log(0.5))
     rng = np.random.default_rng(139)
     others = [random_logp(rng, T, 2) for T in (1, 4, 7)]
@@ -531,17 +543,17 @@ def test_batch_viterbi_ties_go_to_smallest_state():
         for at in range(4):
             posteriors = others[:at] + [uniform] + others[at:]
             with np.errstate(all="raise"):
-                got = batch_viterbi([graph] * 4, posteriors, prior, prior_scale)
-            assert got[at].frame_states == (2, 1)
-            for logp, ali in zip(posteriors, got):
+                got = _block_paths([graph] * 4, posteriors, prior, prior_scale)
+            assert got[at] == (2, 1)
+            for logp, states in zip(posteriors, got):
                 scores = logp - prior_scale * np.log(prior)
-                assert ali.frame_states == viterbi_states(graph, scores)
+                assert states == viterbi_states(graph, scores)
 
 
-def test_batch_viterbi_infeasible_member_raises():
+def test_viterbi_paths_infeasible_member_raises():
     rng = np.random.default_rng(149)
     pool = _viterbi_pool(rng)[2:8]
     graph, logp = pool[3]
     pool[3] = (graph, logp[: graph.min_frames - 1])
     with pytest.raises(InfeasibleUtteranceError):
-        batch_viterbi([g for g, _ in pool], [lp for _, lp in pool])
+        _block_paths([g for g, _ in pool], [lp for _, lp in pool])

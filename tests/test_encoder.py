@@ -9,8 +9,7 @@ from adsm.encoder import (CHUNK, EncoderParams, TrainConfig, encode, init_params
                           train, utterance_grads)
 from adsm.ctc import _log_space_loss, batch_log_loss, log_loss
 from adsm.errors import FormatError, NumericalError
-from adsm.lattice import (build_word_dag_implicit, concat_utterance, ctc_expand,
-                          lattice_from_dag)
+from adsm.lattice import build_word_dag_implicit, concat_utterance, ctc_expand
 from adsm.vocab import Vocabulary
 from conftest import chars_vocab
 from _reference import flatten_params, n_params, set_flat_params
@@ -106,7 +105,7 @@ def test_pooling_keeps_pairwise_max():
 def small_graph(vocab_word="ab"):
     vocab = chars_vocab(vocab_word)
     dag = build_word_dag_implicit(vocab_word, vocab)
-    return vocab, ctc_expand(lattice_from_dag(dag), vocab)
+    return vocab, ctc_expand(dag, vocab)
 
 
 def test_gradients_match_finite_differences():
@@ -142,7 +141,7 @@ def toy_dataset(n=12, T=6, seed=0):
     for i in range(n):
         word = "ab"[i % 2]
         x = protos[word] + 0.05 * rng.standard_normal((T, 3))
-        lat = lattice_from_dag(build_word_dag_implicit(word, vocab))
+        lat = build_word_dag_implicit(word, vocab)
         data.append((x, ctc_expand(lat, vocab)))
     return vocab, data
 
@@ -194,7 +193,7 @@ def test_train_holdout_leaves_one_utterance_to_train_on():
 def test_train_skips_infeasible_and_rejects_empty():
     vocab, data = toy_dataset(n=6, T=6)
     v2 = chars_vocab("ab")
-    two_label = ctc_expand(lattice_from_dag(build_word_dag_implicit("ab", v2)), v2)
+    two_label = ctc_expand(build_word_dag_implicit("ab", v2), v2)
     # raw T=2 pools to one frame at factor 4; two labels cannot fit
     p = init_params(3, (6,), vocab.num_classes, subsample_factor=4, seed=5)
     short = (np.zeros((2, 3)), two_label)
@@ -206,7 +205,7 @@ def test_train_skips_infeasible_and_rejects_empty():
 
 def test_train_expands_lattices_and_rejects_other_items():
     vocab, data = toy_dataset(n=6)
-    lattices = [lattice_from_dag(build_word_dag_implicit("ab"[i % 2], vocab)) for i in range(6)]
+    lattices = [build_word_dag_implicit("ab"[i % 2], vocab) for i in range(6)]
     cfg = TrainConfig(learning_rate=0.5, epochs=3, seed=7)
     p1 = init_params(3, (6,), vocab.num_classes, seed=5)
     p2 = init_params(3, (6,), vocab.num_classes, seed=5)

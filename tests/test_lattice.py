@@ -6,8 +6,8 @@ import pytest
 from adsm import lattice as lattice_mod
 from adsm.ctc import _successors
 from adsm.lattice import (UttLattice, build_word_dag_explicit, build_word_dag_implicit,
-                          concat_utterance, ctc_expand, expand_lattices,
-                          lattice_from_dag, path_stats, path_length_stats)
+                          concat_utterance, ctc_expand, expand_lattices, path_stats,
+                          path_length_stats)
 from adsm.vocab import Vocabulary
 from conftest import chars_vocab, enumerate_segmentations, flagged, random_oracle_instance
 from _reference import ctc_expand_reference, enumerate_label_paths, transitions
@@ -50,7 +50,7 @@ def test_implicit_dag_prunes_dead_arcs():
     vocab = Vocabulary.from_units([("a", False), ("ab", False), ("c", True)])
     dag = build_word_dag_implicit("abc", vocab)
     # the (a, ...) start is a dead end: "b"/"bc" are not units
-    assert [(u, v, vocab.spelling(uid)) for u, v, uid in dag.arcs] == [
+    assert [(u, v, vocab.spelling(uid)) for u, v, uid, _ in dag.arcs] == [
         (0, 2, "ab"), (2, 3, "c_")]
 
 
@@ -69,7 +69,7 @@ def test_explicit_dag_is_exactly_the_variant_set():
     dag = build_word_dag_explicit(variants, vocab)
     assert spell_paths(enumerate_label_paths(dag), vocab) == {
         ("a", "aa_"), ("aa", "a_")}
-    assert dag.node_pos[dag.sink] == 3
+    assert dag.words == ("aaa",)
 
 
 def test_explicit_dag_shares_prefixes():
@@ -102,7 +102,6 @@ def test_concat_utterance_fuses_boundaries():
     dag_a = build_word_dag_implicit("a", vocab)
     lat = concat_utterance([dag_ab, dag_a, dag_ab])
     assert lat.words == ("ab", "a", "ab")
-    assert lat.boundaries == (0, 2, 3, 5)
     assert lat.n_nodes == 6
     words_on_arcs = {w for _, _, _, w in lat.arcs}
     assert words_on_arcs == {0, 1, 2}
@@ -115,6 +114,23 @@ def test_concat_utterance_fuses_boundaries():
 def test_concat_utterance_rejects_empty():
     with pytest.raises(ValueError):
         concat_utterance([])
+
+
+def test_concat_utterance_of_utterances_is_flat():
+    rng = np.random.default_rng(41)
+    vocab = Vocabulary.from_units(
+        [("a", False), ("a", True), ("b", False), ("b", True), ("ab", True)])
+    for _ in range(30):
+        words = ["".join(rng.choice(list("ab"), size=int(rng.integers(1, 4))))
+                 for _ in range(int(rng.integers(1, 7)))]
+        lattices = [build_word_dag_implicit(w, vocab) for w in words]
+        cuts = sorted(rng.choice(np.arange(1, len(words)), size=int(rng.integers(len(words))),
+                             replace=False).tolist())
+        parts = [concat_utterance(lattices[lo:hi])
+                 for lo, hi in zip([0] + cuts, cuts + [len(words)])]
+        flat = concat_utterance(lattices)
+        assert flat.words == tuple(words)
+        assert concat_utterance(parts) == flat
 
 
 def random_lattice(rng):
@@ -305,9 +321,9 @@ def test_expand_lattices_equals_reference_on_utterances(explicit, monkeypatch):
 def test_expand_lattices_min_frames_of_degenerate_lattices():
     vocab = chars_vocab("ab")
     a, b_ = vocab.id_of[("a", False)], vocab.id_of[("b", True)]
-    one_node = UttLattice(("",), 1, (), (0, 0))
-    no_path = UttLattice(("ab",), 3, ((0, 1, a, 0),), (0, 2))
-    dead_arc = UttLattice(("ab",), 4, ((0, 1, a, 0), (1, 3, b_, 0), (2, 3, b_, 0)), (0, 3))
+    one_node = UttLattice(("",), 1, ())
+    no_path = UttLattice(("ab",), 3, ((0, 1, a, 0),))
+    dead_arc = UttLattice(("ab",), 4, ((0, 1, a, 0), (1, 3, b_, 0), (2, 3, b_, 0)))
     lattices = [one_node, no_path, dead_arc]
     graphs = expand_lattices(lattices, vocab)
     # one blank frame; no path at all reads the state count + 1
@@ -322,8 +338,8 @@ def test_expand_lattices_min_frames_of_degenerate_lattices():
 def test_expand_lattices_rejects_arcs_against_node_order(arc):
     vocab = chars_vocab("a")
     a_ = vocab.id_of[("a", True)]
-    good = UttLattice(("a",), 2, ((0, 1, a_, 0),), (0, 1))
-    bad = UttLattice(("a",), 2, ((0, 1, a_, 0), (*arc, a_, 0)), (0, 1))
+    good = UttLattice(("a",), 2, ((0, 1, a_, 0),))
+    bad = UttLattice(("a",), 2, ((0, 1, a_, 0), (*arc, a_, 0)))
     with pytest.raises(ValueError, match=re.escape(f"arc 1 {(*arc, a_, 0)} of lattice 1 ")):
         expand_lattices([good, bad], vocab)
     with pytest.raises(ValueError, match="lower to a higher node"):
