@@ -6,7 +6,13 @@ lexicon, train a frame classifier against all-segmentations lattices,
 force-align to collect weighted per-word variants, filter, merge neighbors,
 and finalize per-utterance target sequences.  A subword n-gram model then
 segments text that has no audio at all.
+
+Importing the package sets glibc's allocator thresholds for the whole
+process (see :func:`_keep_freed_memory`).
 """
+
+import ctypes
+import sys
 
 from .corpus import (Corpus, FeatureMatrix, MetricsRow, SyntheticSpec,
                      Utterance, format_report, gen_synthetic, load_corpus,
@@ -30,6 +36,34 @@ from .textseg import (SubwordNgramLM, detokenize, segment_corpus,
 from .vocab import SegMode, SegTable, Unit, Vocabulary, marked, parse_marked
 
 __version__ = "0.1.0"
+
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3     # glibc's mallopt parameter numbers
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed blocks for reuse rather than hand them back to
+    the kernel, so the numpy temporaries of every training step and sweep
+    are not faulted in again page by page.
+
+    glibc serves each block above ``M_MMAP_THRESHOLD`` (128 KiB at start)
+    with its own ``mmap``, unmapped when freed, and trims the heap top once
+    more than ``M_TRIM_THRESHOLD`` of it is free.  Raising them to 32 MiB
+    (the ceiling glibc's own dynamic threshold reaches on 64-bit) and
+    64 MiB keeps those pages.  The setting is process-wide: it holds for
+    every allocation of the process that imports adsm.  Without glibc's
+    ``mallopt`` it does nothing."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_memory()
 
 __all__ = [
     "AdsmError", "AlignedUtt", "Alignment", "Corpus", "CtcGraph",

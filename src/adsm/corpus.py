@@ -100,6 +100,7 @@ def write_features(mats, path) -> None:
 def read_features(path) -> list[FeatureMatrix]:
     mats: dict[str, FeatureMatrix] = {}
     rows = read_rows(path, FEATURES_HEADER, sep=None)
+    width = None
     for lineno, parts in rows:
         with located(path, lineno):
             if len(parts) != 3:
@@ -109,6 +110,10 @@ def read_features(path) -> list[FeatureMatrix]:
                 raise ValueError(f"duplicate utterance id {utt_id!r}")
             if T < 1 or D < 1:
                 raise ValueError(f"features for {utt_id!r} must be (T>=1, D>=1)")
+            width = width or D
+            if D != width:
+                raise ValueError(f"features for {utt_id!r} have {D} columns, "
+                                 f"the first block {width}")
             block = list(islice(rows, T))
             if len(block) < T:
                 raise ValueError(f"features for {utt_id!r} end after {len(block)} of {T} rows")

@@ -13,14 +13,19 @@ loss or occupancy comes out non-finite that way is recomputed in log space.
 Both spaces share one backward loop, which runs in natural frame order and
 starts each block at its own last frame; no frames are reversed.  Viterbi,
 sampling and the log-space forward share one frame loop that differs only in
-its reduction (log-sum-exp or max).  Each one-utterance entry (``log_loss``,
+its reduction (log-sum-exp or max).  Viterbi and sampling read their
+emissions from :func:`emission_columns`: the (T, U) columns of a (B, T, C)
+posterior block that the stacked graphs use, one per distinct (utterance,
+label) pair, which a caller can hold in place of the block.  The prior shift
+is subtracted once per column, and one column gather expands them to the
+(T, S + 1) emission matrix.  Each one-utterance entry (``log_loss``,
 ``viterbi``, ``sample_path``) is the B = 1 call of its batched DP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +55,12 @@ class Alignment:
     frame_states: tuple[int, ...]
     collapsed: tuple[int, ...]
     spans: tuple[tuple[int, int], ...]  # (first_frame, last_frame) per collapsed unit
+
+
+def check_prior_scale(prior_scale: float) -> None:
+    """Refuse a prior scale outside [0, 1]."""
+    if not 0.0 <= prior_scale <= 1.0:
+        raise ValueError("prior scale must lie in [0, 1]")
 
 
 def _check_posteriors(logp: np.ndarray) -> np.ndarray:
@@ -109,6 +120,38 @@ def _emissions(logp: np.ndarray, owner: np.ndarray, labels: np.ndarray) -> np.nd
     emit = np.full((logp.shape[1], len(owner) + 1), -np.inf)
     emit[:, :-1] = logp[owner, :, labels].T
     return emit
+
+
+class EmissionColumns(NamedTuple):
+    """The columns of a (B, T, C) posterior block that stacked graphs read."""
+
+    values: np.ndarray      # (T, U): one per distinct (utterance, label), ascending
+    labels: np.ndarray      # (U,) the class of each column
+    index: np.ndarray       # (S,) the column of each stacked state
+    num_classes: int        # C
+
+
+def emission_columns(graphs: Sequence[CtcGraph], logp: np.ndarray) -> EmissionColumns:
+    """Cut the (B, T, C) ``logp`` to the columns its B graphs, stacked in
+    order, read: one per distinct (utterance b, label y) pair, ordered by
+    ``b * C + y``, plus the column index of each stacked state."""
+    B, _, C = logp.shape
+    key = np.concatenate([g.labels for g in graphs])
+    key += np.repeat(np.arange(0, B * C, C), [g.n_states for g in graphs])
+    used = np.zeros(B * C, dtype=bool)
+    used[key] = True
+    b, y = np.divmod(np.flatnonzero(used), C)
+    return EmissionColumns(logp[b, :, y].T, y, np.cumsum(used)[key] - 1, C)
+
+
+def _expand(columns: EmissionColumns) -> np.ndarray:
+    """(T, S + 1) emission matrix of the stacked states: each state's column,
+    -inf in the sentinel's slot, from one column gather."""
+    T, U = columns.values.shape
+    ext = np.empty((T, U + 1))
+    ext[:, :U] = columns.values
+    ext[:, U] = -np.inf
+    return ext[:, np.append(columns.index, U)]
 
 
 def _sweep(table: np.ndarray, first: np.ndarray, emit: np.ndarray, reduce) -> np.ndarray:
@@ -253,26 +296,26 @@ def log_loss(graph: CtcGraph, logp: np.ndarray,
     return losses[0].item(), None if occ is None else occ[0]
 
 
-def _trace(graphs: Sequence[CtcGraph], scores: np.ndarray, lengths: np.ndarray, reduce,
-           pick, shift: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _trace(graphs: Sequence[CtcGraph], columns: EmissionColumns, lengths: np.ndarray,
+           reduce, pick) -> tuple[np.ndarray, np.ndarray]:
     """Sweep forward with ``reduce`` over the graphs stacked block-diagonally,
-    block b's emissions gathered from ``scores[b]`` ((B, T, C)), each less
-    ``shift`` ((C,)) at its label when given, then walk
-    all B paths back together, each from its own last frame ``lengths[b] -
-    1``.  A block's rows after its last frame may hold any finite values or
-    -inf: no path through them is walked back.  ``pick`` maps a (k, B) array
-    of candidate scores to one row index per column: first a final state,
-    then, once per frame, each path's earlier state among the predecessors of
-    its later one.  Returns the (T, B) paths, ``path[k, b]`` the stacked
+    each state's emissions read from its column of ``columns`` (cut for
+    these graphs by :func:`emission_columns`), then walk all B paths back
+    together, each from its own last frame ``lengths[b] - 1``.  A block's
+    rows after its last frame may hold any finite values or -inf: no path
+    through them is walked back.  ``pick`` maps a (k, B) array of candidate
+    scores to one row index per column: first a final state, then, once per
+    frame, each path's earlier state among the predecessors of its later
+    one.  Returns the (T, B) paths, ``path[k, b]`` the stacked
     state of utterance b at its frame ``lengths[b] - 1 - k`` (meaningless
     from ``k = lengths[b]`` on), and the block offsets."""
-    offsets, owner, labels, first, final, table = _stack(graphs, lengths)
-    emit = _emissions(scores, owner, labels)
-    if shift is not None:
-        emit[:, :-1] -= shift[labels]
+    offsets, owner, _, first, final, table = _stack(graphs, lengths)
+    if len(columns.index) != offsets[-1]:
+        raise ValueError("emission columns were cut for other graphs")
+    emit = _expand(columns)
     score = _sweep(table, first, emit, reduce)
     score += emit
-    B, T = len(graphs), scores.shape[1]
+    B, T = len(graphs), len(emit)
     block = owner[final]    # each block's final states down its own column
     rank = np.arange(len(final)) - np.searchsorted(block, block)
     finals = np.full((rank.max() + 1, B), offsets[-1])
@@ -310,28 +353,27 @@ def _alignment_from_states(graph: CtcGraph, states: np.ndarray) -> Alignment:
                      tuple((a, b) for a, b in spans))
 
 
-def viterbi_paths(graphs: Sequence[CtcGraph], logp: np.ndarray, lengths: np.ndarray,
+def viterbi_paths(graphs: Sequence[CtcGraph], columns: EmissionColumns, lengths: np.ndarray,
                   prior: np.ndarray | None = None,
                   prior_scale: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Best accepted paths of B utterances under their (B, T, C) ``logp``
-    divided by the prior as in :func:`viterbi` (block b's rows from
-    ``lengths[b]`` on ignored), from one max sweep and one backtrace: the
-    (T, B) paths and block offsets of :func:`_trace`.  The prior's
-    ``prior_scale * log q`` is subtracted from the gathered (T, S) state
-    scores, not from ``logp``, which is left as it is."""
-    if not 0.0 <= prior_scale <= 1.0:
-        raise ValueError("prior scale must lie in [0, 1]")
-    shift = None
+    """Best accepted paths of B utterances under the emission ``columns``
+    that :func:`emission_columns` cut from their (B, T, C) posteriors for
+    these ``graphs``, divided by the prior as in :func:`viterbi` (block b's
+    rows from ``lengths[b]`` on ignored), from one max sweep and one
+    backtrace: the (T, B) paths and block offsets of :func:`_trace`.  The
+    prior's ``prior_scale * log q`` is subtracted once per (T, U) column,
+    each column's values left as they are."""
+    check_prior_scale(prior_scale)
     if prior_scale > 0.0:
         if prior is None:
             raise ValueError("prior_scale > 0 requires a prior")
         prior = np.asarray(prior, dtype=np.float64)
-        if prior.shape != logp.shape[2:]:
+        if prior.shape != (columns.num_classes,):
             raise ValueError("prior shape does not match class count")
         shift = prior_scale * np.log(np.maximum(prior, PRIOR_FLOOR))
+        columns = columns._replace(values=columns.values - shift[columns.labels])
     # ties go to the first row: the smallest state id
-    return _trace(graphs, logp, lengths, lambda x: x.max(axis=0), lambda x: x.argmax(axis=0),
-                  shift)
+    return _trace(graphs, columns, lengths, lambda x: x.max(axis=0), lambda x: x.argmax(axis=0))
 
 
 def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
@@ -343,8 +385,9 @@ def viterbi(graph: CtcGraph, logp: np.ndarray, prior: np.ndarray | None = None,
     resolve to the smallest predecessor state id, making alignments
     bit-reproducible.  The B = 1 call of :func:`viterbi_paths`.
     """
-    logp = _check_posteriors(logp)
-    path, _ = viterbi_paths([graph], logp[None], np.array([len(logp)]), prior, prior_scale)
+    logp = _check_posteriors(logp)[None]
+    path, _ = viterbi_paths([graph], emission_columns([graph], logp), np.array([logp.shape[1]]),
+                            prior, prior_scale)
     return _alignment_from_states(graph, path[::-1, 0])
 
 
@@ -369,8 +412,8 @@ def sample_path(graph: CtcGraph, logp: np.ndarray, temperature: float = 1.0,
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    path, _ = _trace([graph], (logp / temperature)[None], np.array([len(logp)]), logsumexp,
-                     lambda logw: [_draw(logw[:, 0], rng)])
+    path, _ = _trace([graph], emission_columns([graph], (logp / temperature)[None]),
+                     np.array([len(logp)]), logsumexp, lambda logw: [_draw(logw[:, 0], rng)])
     return _alignment_from_states(graph, path[::-1, 0])
 
 

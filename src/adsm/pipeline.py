@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import corpus as corpus_io
-from .ctc import estimate_prior, viterbi_paths
+from .ctc import check_prior_scale, emission_columns, estimate_prior, viterbi_paths
 from .encoder import (CHUNK, EncoderParams, TrainConfig, encode_batch, feasible_items,
                       init_params, resize_output, save_params, train)
 from .errors import located, read_rows
@@ -46,8 +46,7 @@ class PipelineConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.prior_scale <= 1.0:
-            raise ValueError("prior scale must lie in [0, 1]")
+        check_prior_scale(self.prior_scale)
         if not 0.0 <= self.min_weight < 1.0:
             raise ValueError("weight floor must lie in [0, 1)")
         if self.min_count < 1:
@@ -160,15 +159,20 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
     The feasible utterances are sorted by subsampled length (ties by dataset
     position) and cut into chunks of ``CHUNK``, so each chunk's encoder
     pass, Viterbi sweep and backtrace run only as long as its own longest
-    utterance.  The chunks are encoded longest first, while few posteriors
-    are held, and each chunk's posteriors are exponentiated once for the
-    per-utterance sums the label prior is estimated from, in dataset order.
-    The chunks are aligned shortest first; each path's label states, in
-    word runs, are its words' variants, and each distinct variant is
-    spelled out once.  The alignments keep dataset order, and the stats
-    count each (word, variant) in order of first occurrence.
+    utterance.  The chunks are encoded longest first.  Each chunk's
+    posteriors are exponentiated once for the per-utterance sums the label
+    prior is estimated from, in dataset order; the chunk then keeps only
+    its emission columns (:func:`emission_columns`), so what is held until
+    the prior is known grows with the labels its lattices read, not with
+    the class count.  The chunks are aligned shortest first, each from its
+    columns; each path's label states, in word runs, are its words'
+    variants, and each distinct variant is spelled out once.  The
+    alignments keep dataset order, and the stats count each (word,
+    variant) in order of first occurrence.  A prior scale outside [0, 1]
+    is refused before anything is expanded or encoded.
     Returns (alignments, stats, skipped).
     """
+    check_prior_scale(prior_scale)
     if params.num_classes != vocab.num_classes:
         raise ValueError(f"the encoder has {params.num_classes} classes, "
                          f"the vocabulary {vocab.num_classes}")
@@ -180,19 +184,21 @@ def align_corpus(params: EncoderParams, dataset, prior_scale: float,
     encoded = [None] * len(chunks)
     sums, frames = np.empty((len(feasible), params.num_classes)), 0
     for c in reversed(range(len(chunks))):
-        encoded[c] = logp, lengths = encode_batch([feasible[k][1] for k in chunks[c]], params)
+        logp, lengths = encode_batch([feasible[k][1] for k in chunks[c]], params)
         probs = np.exp(logp)
         probs[np.arange(logp.shape[1]) >= lengths[:, None]] = 0.0   # padded rows
         sums[chunks[c]] = probs.sum(axis=1)
         frames += int(lengths.sum())
+        encoded[c] = emission_columns([feasible[k][2] for k in chunks[c]], logp), lengths
+        del logp, probs
     prior = estimate_prior(sums, frames)
 
     word_variants = [None] * len(feasible)
     spell = functools.cache(lambda ids: tuple(vocab.unit(i) for i in ids))
     for c, chunk in enumerate(chunks):
-        (logp, lengths), encoded[c] = encoded[c], None   # released once aligned
+        (columns, lengths), encoded[c] = encoded[c], None   # released once aligned
         chunk_graphs = [feasible[k][2] for k in chunk]
-        path, _ = viterbi_paths(chunk_graphs, logp, lengths, prior, prior_scale)
+        path, _ = viterbi_paths(chunk_graphs, columns, lengths, prior, prior_scale)
         # every path's states in frame order, path after path; a path never
         # returns to a state it has left, so a new state starts its one visit
         owner = np.repeat(np.arange(len(chunk)), lengths)

@@ -66,6 +66,14 @@ def test_features_reader_rejects_corrupt(tmp_path):
         read_features(p)
 
 
+def test_features_reader_refuses_a_block_of_another_width_at_its_header(tmp_path):
+    p = tmp_path / "feats.tsv"
+    p.write_text("#adsm-feats-v1\nu1 2 2\n1.0 2.0\n3.0 4.0\nu2 2 3\n1.0 2.0 3.0\n4.0 5.0 6.0\n")
+    with pytest.raises(FormatError, match="3 columns, the first block 2") as err:
+        read_features(p)
+    assert err.value.line == 5 and str(p) in str(err.value)
+
+
 def test_transcripts_round_trip(tmp_path):
     p = tmp_path / "trans.tsv"
     write_transcripts([("u0", ("ab", "c")), ("u1", ("c",))], p)

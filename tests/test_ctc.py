@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from adsm import ctc
-from adsm.ctc import (_log_space_loss, _stack, _successors, batch_log_loss, collapse,
-                      estimate_prior, log_loss, logsumexp, sample_path, viterbi, viterbi_paths)
+from adsm.ctc import (_expand, _log_space_loss, _stack, _successors, batch_log_loss, collapse,
+                      emission_columns, estimate_prior, log_loss, logsumexp, sample_path,
+                      viterbi, viterbi_paths)
 from adsm.errors import InfeasibleUtteranceError, NumericalError
 from adsm.lattice import build_word_dag_explicit, build_word_dag_implicit, \
     concat_utterance, ctc_expand
@@ -452,20 +453,21 @@ def _viterbi_pool(rng):
     return pool
 
 
-def _padded(posteriors):
-    """The (B, T, C) block of the posteriors, padded with -inf, and their lengths."""
+def _padded(graphs, posteriors):
+    """The graphs' emission columns of the (B, T, C) block of the posteriors,
+    padded with -inf, and their lengths."""
     lengths = np.array([len(lp) for lp in posteriors])
     logp = np.full((len(posteriors), lengths.max(), posteriors[0].shape[1]), -np.inf)
     for row, lp in zip(logp, posteriors):
         row[: len(lp)] = lp
-    return logp, lengths
+    return emission_columns(graphs, logp), lengths
 
 
 def _block_paths(graphs, posteriors, prior=None, prior_scale=0.0):
     """Each utterance's state path from one :func:`viterbi_paths` call over
     the padded block, in frame order and in its own graph's state ids."""
-    logp, lengths = _padded(posteriors)
-    path, offsets = viterbi_paths(graphs, logp, lengths, prior, prior_scale)
+    columns, lengths = _padded(graphs, posteriors)
+    path, offsets = viterbi_paths(graphs, columns, lengths, prior, prior_scale)
     return [tuple((path[n - 1 :: -1, b] - offsets[b]).tolist())
             for b, n in enumerate(lengths)]
 
@@ -520,12 +522,12 @@ def test_viterbi_paths_subtracts_the_prior_like_the_shifted_posteriors():
     prior[3] = 1e-13                    # below the floor
     for lo, hi in ((0, len(pool)), (0, 5), (5, 21), (1, 2)):
         graphs = [g for g, _ in pool[lo:hi]]
-        logp, lengths = _padded([lp for _, lp in pool[lo:hi]])
+        posteriors = [lp for _, lp in pool[lo:hi]]
         for prior_scale in (0.3, 1.0):
-            shifted = logp - prior_scale * np.log(np.maximum(prior, 1e-10))
+            shift = prior_scale * np.log(np.maximum(prior, 1e-10))
             with np.errstate(all="raise"):
-                got = viterbi_paths(graphs, logp, lengths, prior, prior_scale)
-                want = viterbi_paths(graphs, shifted, lengths)
+                got = viterbi_paths(graphs, *_padded(graphs, posteriors), prior, prior_scale)
+                want = viterbi_paths(graphs, *_padded(graphs, [lp - shift for lp in posteriors]))
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
@@ -557,3 +559,58 @@ def test_viterbi_paths_infeasible_member_raises():
     pool[3] = (graph, logp[: graph.min_frames - 1])
     with pytest.raises(InfeasibleUtteranceError):
         _block_paths([g for g, _ in pool], [lp for _, lp in pool])
+
+
+def _column_blocks(rng):
+    """Random stacks of the Viterbi pool's graphs (drawn with repeats, so
+    labels repeat within and across utterances, B = 1 included) with random
+    (B, T, C) blocks whose rows past each utterance's length are padding
+    (-inf or finite), and each stacked state's owner and label."""
+    graphs = [g for g, _ in _viterbi_pool(rng)]
+    for B in [1, 1, 2, 16] + rng.integers(1, 17, size=40).tolist():
+        stack = [graphs[i] for i in rng.integers(0, len(graphs), size=B)]
+        T = int(rng.integers(1, 12))
+        logp = rng.standard_normal((B, T, 5)) * 3
+        for row in logp:
+            n = int(rng.integers(0, T + 1))
+            row[n:] = -np.inf if rng.random() < 0.5 else rng.integers(-3, 0)
+        owner = np.repeat(np.arange(B), [g.n_states for g in stack])
+        labels = np.concatenate([g.labels for g in stack])
+        yield stack, logp, owner, labels
+
+
+def test_expanded_emission_columns_equal_the_state_gather():
+    for stack, logp, owner, labels in _column_blocks(np.random.default_rng(163)):
+        columns = emission_columns(stack, logp)
+        keys = np.unique(owner * 5 + labels)
+        assert columns.values.shape == (logp.shape[1], len(keys))
+        np.testing.assert_array_equal(columns.labels, keys % 5)
+        assert columns.num_classes == 5
+        want = np.full((logp.shape[1], len(owner) + 1), -np.inf)
+        want[:, :-1] = logp[owner, :, labels].T
+        got = _expand(columns)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_prior_shift_per_column_equals_the_shift_per_state():
+    rng = np.random.default_rng(167)
+    for stack, logp, owner, labels in _column_blocks(rng):
+        prior = rng.dirichlet(np.ones(5))
+        prior[rng.integers(0, 5)] = 1e-13   # below the floor
+        shift = 0.3 * np.log(np.maximum(prior, 1e-10))
+        columns = emission_columns(stack, logp)
+        got = _expand(columns._replace(values=columns.values - shift[columns.labels]))
+        want = np.full(got.shape, -np.inf)
+        want[:, :-1] = logp[owner, :, labels].T
+        want[:, :-1] -= shift[labels]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_viterbi_paths_refuses_columns_of_other_graphs():
+    pool = _viterbi_pool(np.random.default_rng(173))
+    graphs = [g for g, _ in pool[:4]]
+    other = next(g for g, _ in pool if g.n_states != graphs[3].n_states)
+    columns, lengths = _padded(graphs[:3] + [other], [lp for _, lp in pool[:4]])
+    with pytest.raises(ValueError, match="other graphs"):
+        viterbi_paths(graphs, columns, lengths)

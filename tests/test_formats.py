@@ -344,13 +344,14 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def feature_matrices(draw, min_size=0):
-    """Matrices of one to four frames of one to three arbitrary finite values."""
+    """Matrices of one to four frames of the same one to three arbitrary
+    finite values."""
     ids = draw(st.lists(st.text(alphabet="uv01_", min_size=1, max_size=3), unique=True,
                         min_size=min_size, max_size=4))
+    width = draw(st.integers(1, 3))
     return [FeatureMatrix(utt_id, np.array(draw(st.lists(
                 st.lists(FLOATS, min_size=width, max_size=width), min_size=1, max_size=4))))
-            for utt_id, width in zip(ids, draw(st.lists(st.integers(1, 3), min_size=len(ids),
-                                                        max_size=len(ids))))]
+            for utt_id in ids]
 
 
 @FORMATS
@@ -374,7 +375,8 @@ def test_features_reject_a_bad_line_at_its_number(mats, data):
         utt_id, T, D = parts
         lines[i] = data.draw(st.sampled_from(
             [f"{utt_id} {T}", f"{utt_id} x {D}", f"{utt_id} 0 {D}", f"{utt_id} {T} -1"]
-            + [f"{lines[heads[0]].split()[0]} {T} {D}"] * (i > heads[0])))
+            + [f"{lines[heads[0]].split()[0]} {T} {D}", f"{utt_id} {T} {int(D) + 1}"]
+            * (i > heads[0])))
     else:   # one row of values
         parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(
             st.sampled_from(["x", "nan", "-inf", "1e999", "0x1", "1.0 2.0"]))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,59 @@ def test_align_corpus_prior_equals_the_per_utterance_mean(monkeypatch):
     np.testing.assert_array_equal(priors[0], prior_mean(feasible, params.num_classes))
 
 
+def test_align_corpus_refuses_a_bad_prior_scale_before_encoding(monkeypatch):
+    (corp, _), entries = mini_corpus(n=8)
+    vocab = build_initial_vocab(entries, corp.words())
+    table = make_initial_segtable(corp.words(), vocab)
+    params = init_params(6, (16,), vocab.num_classes, 2, (1,), 0)
+    calls = []
+    monkeypatch.setattr(pipeline, "encode_batch", lambda *args: calls.append(args))
+    for prior_scale in (1.5, -0.1):
+        with pytest.raises(ValueError, match="prior scale"):
+            align_corpus(params, build_dataset(corp, vocab, table), prior_scale, vocab)
+    assert calls == []
+
+
+def _held_before_the_sweeps(monkeypatch, corp, vocab):
+    """Bytes that :func:`align_corpus` allocated and still holds when it
+    estimates the prior, that is, before its first Viterbi sweep."""
+    table = make_initial_segtable(corp.words(), vocab)
+    params = init_params(6, (16,), vocab.num_classes, 2, (1,), 10)
+    dataset = build_dataset(corp, vocab, table)
+    graphs = [ctc_expand(lat, vocab) for _, lat in dataset]
+    held = []
+
+    def recording(sums, frames):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return estimate_prior(sums, frames)
+
+    monkeypatch.setattr(pipeline, "estimate_prior", recording)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        aligned, _, _ = align_corpus(params, dataset, 0.3, vocab, graphs)
+    finally:
+        tracemalloc.stop()
+    return held[0], sum(len(feats.values) for feats, _ in dataset), len(aligned)
+
+
+def test_align_corpus_holds_the_read_columns_not_the_class_count(monkeypatch):
+    # units that no word can spell add classes but no lattice label
+    (corp, _), entries = mini_corpus(n=40, seed=11)
+    vocab = build_initial_vocab(entries, corp.words())
+    extra = [(s, end) for s in ("Q", "QX", "QY", "QZ", "XQ") for end in (False, True)]
+    wide = Vocabulary.from_units([*vocab, *extra,
+                                  *((s + "Q", end) for s, end in list(vocab) + extra)])
+    added = wide.num_classes - vocab.num_classes
+    assert added > 2 * vocab.num_classes
+    narrow_held, frames, n = _held_before_the_sweeps(monkeypatch, corp, vocab)
+    wide_held, _, _ = _held_before_the_sweeps(monkeypatch, corp, wide)
+    # the prior's per-utterance sums grow by n * added floats; the held
+    # posteriors would grow by about frames / 2 * added floats
+    assert n == len(corp) and frames // 2 > 10 * n
+    assert wide_held - narrow_held <= 8 * n * added + 4096 < 8 * frames // 2 * added / 5
+
+
 def test_align_corpus_chunks_by_length_and_returns_dataset_order(monkeypatch):
     (corp, _), entries = mini_corpus(n=40, seed=5)
     vocab = build_initial_vocab(entries, corp.words())
@@ -230,9 +285,9 @@ def test_align_corpus_chunks_by_length_and_returns_dataset_order(monkeypatch):
     graphs = [ctc_expand(lat, vocab) for _, lat in dataset]
     calls = []
 
-    def recording(chunk_graphs, logp, lengths, *args):
+    def recording(chunk_graphs, columns, lengths, *args):
         calls.append([(id(g), n) for g, n in zip(chunk_graphs, lengths)])
-        return viterbi_paths(chunk_graphs, logp, lengths, *args)
+        return viterbi_paths(chunk_graphs, columns, lengths, *args)
 
     monkeypatch.setattr(pipeline, "viterbi_paths", recording)
     aligned, stats, skipped = align_corpus(params, dataset, 0.3, vocab, graphs)
